@@ -104,15 +104,19 @@ def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int,
     if cache_dir:
         blob = json.dumps([module.to_json(), max_s, max_t, list(flags)], sort_keys=True)
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
-        if os.path.exists(key):
+        try:
             with open(key, "r", encoding="utf-8") as fh:
                 return resolution.chart_from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            pass  # a missing, unreadable or invalid entry is a miss; rewritten below
     res = resolution.minimal_resolution(module, max_s, max_t)
     chart = resolution.ext_chart(res, torsion_free_top_stems=flags)
     if key:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(key, "w", encoding="utf-8") as fh:
+        tmp = f"{key}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(chart.to_json(), fh)
+        os.replace(tmp, key)  # readers never see a half-written entry
     return chart
 
 

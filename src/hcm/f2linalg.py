@@ -9,7 +9,7 @@ packing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolationError
@@ -78,10 +78,16 @@ class F2Matrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
     def transpose(self) -> "F2Matrix":
-        cols = [0] * self.cols
-        for i, r in enumerate(self.data):
-            for j in _bits(r):
-                cols[j] |= 1 << i
+        if not self.rows:
+            return F2Matrix.zero(self.cols, 0)
+        # Character k of a reversed binary string is bit k, so zip() over
+        # the rows' strings walks columns.  Blocks of 256 columns keep the
+        # strings small.
+        cols: list[int] = []
+        for lo in range(0, self.cols, 256):
+            w = min(256, self.cols - lo)
+            strs = [format((r >> lo) & ((1 << w) - 1), f"0{w}b")[::-1] for r in self.data]
+            cols.extend(int("".join(col)[::-1], 2) for col in zip(*strs))
         return F2Matrix(self.cols, self.rows, tuple(cols))
 
     def mul_vec(self, v: int) -> int:
@@ -122,17 +128,14 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
                 break
             row ^= other
     cols = sorted(piv)
-    # Back-substitute in decreasing column order.
-    for idx in range(len(cols) - 1, -1, -1):
-        c = cols[idx]
+    mask = sum(1 << c for c in cols)
+    # Back-substitute in decreasing column order.  Rows with pivots beyond
+    # c are already reduced, so clearing one pivot bit never sets another.
+    for c in reversed(cols):
         row = piv[c]
-        acc = row
-        rest = row ^ (1 << c)
-        for b in _bits(rest):
-            hit = piv.get(b)
-            if hit is not None:
-                acc ^= hit
-        piv[c] = acc
+        for b in _bits((row & mask) ^ (1 << c)):
+            row ^= piv[b]
+        piv[c] = row
     out_rows = [piv[c] for c in cols]
     out_rows.extend([0] * (m.rows - len(out_rows)))
     return F2Matrix(m.rows, m.cols, tuple(out_rows)), tuple(cols)
@@ -147,55 +150,53 @@ class Subspace:
     """A subspace of GF(2)^ambient_dim, basis in reduced echelon form.
 
     Basis vectors are bit-packed, linearly independent, and listed in
-    strictly increasing pivot order.
+    strictly increasing pivot order; ``pivots[i]`` is the lowest set bit
+    of ``basis[i]``.
     """
 
     basis: tuple[int, ...]
     ambient_dim: int
+    pivots: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", tuple(_low_bit(b) for b in self.basis))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: int) -> bool:
-        for b in self.basis:
-            if v and _low_bit(v) == _low_bit(b):
-                v ^= b
-        return v == 0
+        return self.reduce(v) == 0
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo this subspace."""
-        for b in self.basis:
-            p = _low_bit(b)
+        for b, p in zip(self.basis, self.pivots):
             if (v >> p) & 1:
                 v ^= b
         return v
 
 
-def row_space(m: F2Matrix) -> Subspace:
-    r, pivots = rref(m)
-    return Subspace(tuple(r.data[: len(pivots)]), m.cols)
-
-
 def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
-    return row_space(F2Matrix.from_row_ints(tuple(vectors), ambient_dim))
+    r, pivots = rref(F2Matrix.from_row_ints(tuple(vectors), ambient_dim))
+    return Subspace(r.data[: len(pivots)], ambient_dim)
+
+
+def relations(rows: Sequence[int], width: int) -> Subspace:
+    """{x : XOR of rows[i] over the set bits of x is 0}, in reduced echelon form.
+
+    One elimination of ``[rows | identity]`` (Bruner 1989): the reduced
+    rows whose pivot lies in the identity block, shifted down by
+    ``width``, are the unique reduced echelon basis of the relations.
+    """
+    aug = tuple(r | 1 << (width + i) for i, r in enumerate(rows))
+    r, pivots = rref(F2Matrix(len(aug), width + len(aug), aug))
+    return Subspace(tuple(row >> width for row, p in zip(r.data, pivots) if p >= width),
+                    len(aug))
 
 
 def kernel(m: F2Matrix) -> Subspace:
     """Null space {x : m x = 0}, basis in reduced echelon form."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (r.data[i] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    # Free columns increase, and each basis vector has its lowest set bit
-    # at a distinct position; re-reduce to echelon order for the invariant.
-    return span(basis, m.cols)
+    return relations(m.transpose().data, m.rows)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:

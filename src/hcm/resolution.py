@@ -1,12 +1,14 @@
 """Minimal free resolutions over the Steenrod algebra and Ext charts.
 
 The resolution is built degree by degree: at each stage the kernel of
-the previous differential is computed with bit-packed linear algebra,
-and new free generators are added only for the part of the kernel not
-already reached by earlier generators, so the result is minimal (no
-unit entries) by construction.  Generators are ordered by degree and
-then by first-found kernel pivot, which pins labels and makes repeated
-runs identical.
+the previous differential is read off one elimination of
+``[image | identity]`` (Bruner, "Calculation of large Ext modules",
+1989), and new free generators are added only for the part of the
+kernel not already reached by earlier generators, so the result is
+minimal (no unit entries) by construction.  Generators are ordered by
+degree and then by kernel pivot, which pins labels and makes repeated
+runs identical.  An independent rank count checks every bidegree:
+stage 0 must cover the module, and each later stage the whole kernel.
 
 Charts record, besides dimensions and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -138,17 +140,17 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             continue
         covered = [v for (g, mon), v in zip(st0.basis[t], st0.img[t]) if mon != ()]
         sub = f2linalg.span(covered, dim)
-        pivots = {f2linalg._low_bit(b) for b in sub.basis}
         for f in range(dim):
-            if f in pivots:
+            if f in sub.pivots:
                 continue
             phi = 1 << f
-            for b in sub.basis:
+            for b, p in zip(sub.basis, sub.pivots):
                 if (b >> f) & 1:
-                    phi |= 1 << f2linalg._low_bit(b)
+                    phi |= 1 << p
             label = m.element_name(t, phi)
             _add_generator(st0, 0, t, 1 << f, label)
             _refresh_basis(st0, t, module=m)
+        _check_rank(st0.img[t], dim, dim, 0, t)  # the augmentation is onto
     for t in range(min(m.hi, max_t) + 1, max_t + 1):
         _extend_basis(st0, t, module=m)
 
@@ -161,25 +163,21 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             nprev = prev.dim(t)
             if nprev == 0:
                 continue
-            mat = f2linalg.F2Matrix.from_row_ints(tuple(prev.img[t]), _target_dim(prev, t))
-            ker = f2linalg.kernel(mat.transpose())
-            if ker.dim == 0:
-                continue
+            width = _target_dim(prev, t)
             covered = f2linalg.span(
-                [v for (g, mon), v in zip(cur.basis.get(t, ()), cur.img.get(t, ()))
-                 if mon != ()], nprev)
-            for kv in ker.basis:
+                [v for (g, mon), v in zip(cur.basis[t], cur.img[t]) if mon != ()], nprev)
+            ordinal = 0
+            for kv in f2linalg.relations(prev.img[t], width).basis:
                 red = covered.reduce(kv)
                 if red == 0:
                     continue
-                ordinal = sum(1 for g in cur.gens if g.t == t)
                 label = _label_for(s, t, red, prev, stages[0], m, ordinal)
+                ordinal += 1
                 _add_generator(cur, s, t, red, label)
                 _refresh_basis(cur, t, prev=prev)
-                covered = f2linalg.span(tuple(covered.basis) + (red,), nprev)
-        for t in range(lowest):
-            cur.basis.setdefault(t, [])
-            cur.img.setdefault(t, [])
+                covered = f2linalg.span(covered.basis + (red,), nprev)
+            # Exact: the covered image is all of ker d, of dim nprev - rank d.
+            _check_rank(prev.img[t], width, nprev - covered.dim, s, t)
 
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
@@ -207,6 +205,18 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     if problems:
         raise ContractViolationError("resolution failed verification: " + "; ".join(problems))
     return res
+
+
+def _check_rank(rows: list[int], width: int, want: int, s: int, t: int):
+    """Raise unless the vectors ``rows`` span a space of dimension ``want``.
+
+    The rank comes from its own elimination, so the check does not rely
+    on the kernel computation it audits.
+    """
+    got = f2linalg.rank(f2linalg.F2Matrix.from_row_ints(tuple(rows), width))
+    if got != want:
+        raise ContractViolationError(
+            f"resolution not exact at stage {s}, degree {t}: rank {got}, expected {want}")
 
 
 def _target_dim(prev: _Stage, t: int) -> int:

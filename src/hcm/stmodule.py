@@ -340,11 +340,6 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
     return out
 
 
-def validate(m: GradedModule) -> list[str]:
-    """Module-level spelling of :meth:`GradedModule.validate`."""
-    return m.validate()
-
-
 def raw_module(lo: int, hi: int, basis: dict[int, tuple[str, ...]],
                action: dict[tuple[int, int], tuple[int, ...]],
                unstable: bool = True, truncated: bool = True) -> GradedModule:

@@ -153,6 +153,13 @@ def test_chart_cache_env(tmp_path, capsys, monkeypatch):
     assert cached
     code, out2, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
     assert code == 0 and out1 == out2
+    # a truncated entry is a miss: the chart is recomputed and the entry rewritten
+    whole = cached[0].read_text(encoding="utf-8")
+    cached[0].write_text(whole[: len(whole) // 2], encoding="utf-8")
+    code, out3, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
+    assert code == 0 and out3 == out1
+    assert cached[0].read_text(encoding="utf-8") == whole
+    assert sorted(tmp_path.iterdir()) == cached
 
 
 def test_rendered_chart_round_trip():

@@ -93,10 +93,10 @@ def test_rref_preserves_row_space():
     for _ in range(50):
         m = f2.F2Matrix(6, 9, tuple(rng.getrandbits(9) for _ in range(6)))
         r, _ = f2.rref(m)
-        span_before = f2.row_space(m)
+        span_before = f2.span(m.data, m.cols)
         for row in r.data:
             assert span_before.contains(row)
-        span_after = f2.row_space(r)
+        span_after = f2.span(r.data, r.cols)
         for row in m.data:
             assert span_after.contains(row)
 
@@ -107,6 +107,8 @@ def test_kernel_examples():
     assert k.basis == (0b11,)
     k = f2.kernel(f2.F2Matrix.zero(1, 3))
     assert k.dim == 3
+    # rows 0 and 1 are equal, row 2 is independent: one relation
+    assert f2.relations([0b01, 0b01, 0b10], 2).basis == (0b011,)
 
 
 def test_kernel_vectors_annihilate():
@@ -114,8 +116,16 @@ def test_kernel_vectors_annihilate():
     for _ in range(80):
         rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
         m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
-        for v in f2.kernel(m).basis:
+        ker = f2.kernel(m)
+        for v in ker.basis:
             assert m.mul_vec(v) == 0
+        # reduced echelon: pivots (lowest set bits) strictly increase and
+        # each pivot column is a unit column
+        pivots = [(v & -v).bit_length() - 1 for v in ker.basis]
+        assert ker.pivots == tuple(pivots)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for i, p in enumerate(pivots):
+            assert [(v >> p) & 1 for v in ker.basis] == [int(j == i) for j in range(ker.dim)]
 
 
 @given(st.integers(1, 64), st.integers(1, 64), st.randoms(use_true_random=False))
@@ -181,6 +191,11 @@ def test_transpose_involution():
     rng = random.Random(31)
     m = f2.F2Matrix(5, 8, tuple(rng.getrandbits(8) for _ in range(5)))
     assert m.transpose().transpose() == m
+    for rows, cols in itertools.product(range(4), range(4)):
+        m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
 
 
 def test_mul_associative_with_vec():

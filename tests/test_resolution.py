@@ -7,14 +7,17 @@ and stores vectors as frozensets of basis keys.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from math import comb
 
 import pytest
 
 from hcm import extpower as ep
+from hcm import f2linalg
 from hcm import resolution as rs
 from hcm import stmodule as sm
-from hcm.errors import RefusalError
+from hcm.errors import ContractViolationError, RefusalError
 from hcm.groups import AbelianGroup
 
 # -- independent oracle -------------------------------------------------------
@@ -420,3 +423,52 @@ def test_chart_json_round_trip():
     assert again.dims == {k: v for k, v in chart.dims.items() if v}
     assert again.products == {k: v for k, v in chart.products.items()}
     assert again.trusted_stem_max == chart.trusted_stem_max
+
+
+def _tensor_o(n):
+    o = sm.builtin(f"o:{n % 8}", n)
+    return sm.tensor(o, o, (2 * n - 2, 2 * n + 1))
+
+
+# sha256 of the sorted-key chart JSON.  Any change of dims, labels or
+# products shows here, so a digest changes only with a deliberate change
+# of the charts, never with a change of the linear algebra behind them.
+CHART_DIGESTS = [
+    (lambda: sm.sphere_module(40), 20, 40,
+     "ea7407b2636bc99811c85b6c7442803c33fbcbf50bdde8f984524112775f289f"),
+    (lambda: ep.d2_splitting_summands(16)[1], 6, 39,
+     "535c068dac27ad4634c79bd47f9be9ea5ca92b30763b51e5fc95ee9046612991"),
+    (lambda: ep.d2_splitting_summands(17)[1], 6, 41,
+     "694a7dc65fbe5f0e44171737c6ed7e460d1cd983d6b3e037927696b24f0a5342"),
+    (lambda: ep.d2_splitting_summands(20)[1], 6, 47,
+     "cc25eeae69ec0494f8ab36bc6885563876498a0ca273679d0f750bef83d77622"),
+    (lambda: _tensor_o(16), 6, 37,
+     "a5a9b50c8d998299fdacf181fb99b730ec692e2e0de4bf992421e31b8c4884a3"),
+    (lambda: _tensor_o(17), 6, 39,
+     "cbd1cc09c03db9c824f76b4581ac008a36d47d09c95b81f8c4f9c126a84a91fd"),
+    (lambda: _tensor_o(20), 6, 45,
+     "3475ef1ea51f231ab1002430a3ee5d5851acbdba398c306d787b369b223ef900"),
+]
+
+
+@pytest.mark.parametrize("make, max_s, max_t, digest", CHART_DIGESTS,
+                         ids=["sphere", "d2-16", "d2-17", "d2-20",
+                              "tensor-16", "tensor-17", "tensor-20"])
+def test_chart_digests_pinned(make, max_s, max_t, digest):
+    chart = rs.ext_chart(rs.minimal_resolution(make(), max_s, max_t))
+    blob = json.dumps(chart.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_exactness_check_catches_a_missing_generator(monkeypatch):
+    # Dropping one relation per bidegree leaves d.d = 0 and minimality
+    # intact, so only the rank check can see the missing generators.
+    real = f2linalg.relations
+
+    def lossy(rows, width):
+        sub = real(rows, width)
+        return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
+
+    monkeypatch.setattr(f2linalg, "relations", lossy)
+    with pytest.raises(ContractViolationError, match="not exact"):
+        rs.minimal_resolution(sm.sphere_module(20), 6, 20)
