@@ -9,6 +9,7 @@ assemble.  Set HCM_CACHE_DIR to cache chart computations between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -112,11 +113,17 @@ def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int,
     res = resolution.minimal_resolution(module, max_s, max_t)
     chart = resolution.ext_chart(res, torsion_free_top_stems=flags)
     if key:
-        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{key}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(chart.to_json(), fh)
-        os.replace(tmp, key)  # readers never see a half-written entry
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(chart.to_json(), fh)
+            os.replace(tmp, key)  # readers never see a half-written entry
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise InputError(f"cannot write the chart cache under HCM_CACHE_DIR "
+                             f"{cache_dir!r}: {exc}") from exc
     return chart
 
 

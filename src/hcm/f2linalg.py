@@ -110,6 +110,20 @@ class F2Matrix:
         return F2Matrix(self.rows, other.cols, tuple(out))
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination: pivot column -> a row whose lowest set bit it is."""
+    piv: dict[int, int] = {}
+    for row in rows:
+        while row:
+            c = _low_bit(row)
+            other = piv.get(c)
+            if other is None:
+                piv[c] = row
+                break
+            row ^= other
+    return piv
+
+
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """Reduced row-echelon form of ``m`` and its pivot columns.
 
@@ -118,15 +132,7 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     column.  A final back-substitution clears pivot columns everywhere,
     so the result is the (unique) RREF; the row space is preserved.
     """
-    piv: dict[int, int] = {}
-    for row in m.data:
-        while row:
-            c = _low_bit(row)
-            other = piv.get(c)
-            if other is None:
-                piv[c] = row
-                break
-            row ^= other
+    piv = _echelon(m.data)
     cols = sorted(piv)
     mask = sum(1 << c for c in cols)
     # Back-substitute in decreasing column order.  Rows with pivots beyond
@@ -142,7 +148,8 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
 
 
 def rank(m: F2Matrix) -> int:
-    return len(rref(m)[1])
+    """Number of pivots, by forward elimination only (no back-substitution)."""
+    return len(_echelon(m.data))
 
 
 @dataclass(frozen=True)

@@ -3,26 +3,12 @@
 The ASCII grid has filtration increasing upward and stems along the
 bottom; cells show the dimension (``.`` for zero).  The SVG output is
 plain text: a grid of dots with line segments for the h_0/h_1/h_2
-products, no external machinery.  A rendered chart keeps the JSON form
-of the chart beside the pictures so it round-trips losslessly.
+products, no external machinery.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
-from .resolution import ExtChart, chart_from_json
-
-
-@dataclass(frozen=True)
-class RenderedChart:
-    ascii_text: str
-    svg_text: str
-    chart_json: dict
-
-    def restore(self) -> ExtChart:
-        return chart_from_json(self.chart_json)
+from .resolution import ExtChart
 
 
 def _stem_range(chart: ExtChart) -> tuple[int, int]:
@@ -101,11 +87,3 @@ def svg_chart(chart: ExtChart, stem_window: tuple[int, int] | None = None,
         parts.append(f'<text x="12" y="{y + 4:.1f}" font-size="11">{s}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def render(chart: ExtChart, stem_window: tuple[int, int] | None = None,
-           max_s: int | None = None, show_labels: bool = True) -> RenderedChart:
-    return RenderedChart(
-        ascii_text=ascii_chart(chart, stem_window, max_s, show_labels),
-        svg_text=svg_chart(chart, stem_window, max_s),
-        chart_json=chart.to_json())

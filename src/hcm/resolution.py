@@ -1,14 +1,21 @@
 """Minimal free resolutions over the Steenrod algebra and Ext charts.
 
-The resolution is built degree by degree: at each stage the kernel of
-the previous differential is read off one elimination of
-``[image | identity]`` (Bruner, "Calculation of large Ext modules",
-1989), and new free generators are added only for the part of the
-kernel not already reached by earlier generators, so the result is
-minimal (no unit entries) by construction.  Generators are ordered by
-degree and then by kernel pivot, which pins labels and makes repeated
-runs identical.  An independent rank count checks every bidegree:
-stage 0 must cover the module, and each later stage the whole kernel.
+The resolution is built degree by degree and decides by rank first.
+Each stage records the rank of its image at every degree, so the kernel
+of the previous differential has a known dimension (previous stage's
+dimension minus that rank) before any kernel is computed.  Where the
+image of the decomposables already has that dimension, no generator is
+missing and no kernel is computed.  Elsewhere the kernel is read off
+one elimination of ``[image | identity]`` (Bruner, "Calculation of
+large Ext modules", 1989), and new free generators are added for the
+part of it not yet reached, until the image has the kernel's
+dimension; the result is minimal (no unit entries) by construction.
+Generators are ordered by degree and then by kernel pivot, which pins
+labels and makes repeated runs identical.  Exactness is proved at
+every bidegree: stage 0 must cover the module (its own rank count),
+and each later image must have the kernel's dimension; since ``verify``
+checks d.d = 0 independently, the image lies in the kernel, so equal
+dimensions mean they are equal.
 
 Charts record, besides dimensions and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -89,6 +96,7 @@ class _Stage:
         self.basis: dict[int, list[tuple[int, tuple]]] = {}
         self.pos: dict[tuple[int, tuple], int] = {}
         self.img: dict[int, list[int]] = {}
+        self.rank: dict[int, int] = {}  # dim of the span of img[t]
 
     def dim(self, t: int) -> int:
         return len(self.basis.get(t, ()))
@@ -150,7 +158,8 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             label = m.element_name(t, phi)
             _add_generator(st0, 0, t, 1 << f, label)
             _refresh_basis(st0, t, module=m)
-        _check_rank(st0.img[t], dim, dim, 0, t)  # the augmentation is onto
+        _check_rank(st0.img[t], dim, dim, t)  # the augmentation is onto
+        st0.rank[t] = dim
     for t in range(min(m.hi, max_t) + 1, max_t + 1):
         _extend_basis(st0, t, module=m)
 
@@ -163,21 +172,28 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             nprev = prev.dim(t)
             if nprev == 0:
                 continue
-            width = _target_dim(prev, t)
+            # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
+            want = nprev - prev.rank.get(t, 0)
             covered = f2linalg.span(
                 [v for (g, mon), v in zip(cur.basis[t], cur.img[t]) if mon != ()], nprev)
-            ordinal = 0
-            for kv in f2linalg.relations(prev.img[t], width).basis:
-                red = covered.reduce(kv)
-                if red == 0:
-                    continue
-                label = _label_for(s, t, red, prev, stages[0], m, ordinal)
-                ordinal += 1
-                _add_generator(cur, s, t, red, label)
-                _refresh_basis(cur, t, prev=prev)
-                covered = f2linalg.span(covered.basis + (red,), nprev)
-            # Exact: the covered image is all of ker d, of dim nprev - rank d.
-            _check_rank(prev.img[t], width, nprev - covered.dim, s, t)
+            if covered.dim < want:
+                ordinal = 0
+                for kv in f2linalg.relations(prev.img[t], _target_dim(prev, t)).basis:
+                    red = covered.reduce(kv)
+                    if red == 0:
+                        continue
+                    label = _label_for(s, t, red, prev, stages[0], m, ordinal)
+                    ordinal += 1
+                    _add_generator(cur, s, t, red, label)
+                    _refresh_basis(cur, t, prev=prev)
+                    covered = f2linalg.span(covered.basis + (red,), nprev)
+                    if covered.dim == want:
+                        break  # every later kernel vector reduces to 0
+            if covered.dim != want:
+                raise ContractViolationError(
+                    f"resolution not exact at stage {s}, degree {t}: "
+                    f"image dim {covered.dim}, kernel dim {want}")
+            cur.rank[t] = covered.dim
 
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
@@ -207,16 +223,20 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     return res
 
 
-def _check_rank(rows: list[int], width: int, want: int, s: int, t: int):
-    """Raise unless the vectors ``rows`` span a space of dimension ``want``.
+def _check_rank(rows: list[int], width: int, want: int, t: int):
+    """Raise unless the stage-0 images ``rows`` span the module's ``want`` dimensions.
 
-    The rank comes from its own elimination, so the check does not rely
-    on the kernel computation it audits.
+    The augmentation must be onto the module at every degree.  The rank
+    comes from its own elimination, so the check does not rely on
+    the generators it audits.  Later stages need no such call: their
+    image's dimension is compared with the kernel dimension that the
+    previous stage's recorded rank gives, and ``relations`` runs only
+    where that comparison shows a generator is missing.
     """
     got = f2linalg.rank(f2linalg.F2Matrix.from_row_ints(tuple(rows), width))
     if got != want:
         raise ContractViolationError(
-            f"resolution not exact at stage {s}, degree {t}: rank {got}, expected {want}")
+            f"resolution not exact at stage 0, degree {t}: rank {got}, expected {want}")
 
 
 def _target_dim(prev: _Stage, t: int) -> int:

@@ -340,13 +340,6 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
     return out
 
 
-def raw_module(lo: int, hi: int, basis: dict[int, tuple[str, ...]],
-               action: dict[tuple[int, int], tuple[int, ...]],
-               unstable: bool = True, truncated: bool = True) -> GradedModule:
-    """Assemble a module directly from tables, without any checking."""
-    return GradedModule(lo, hi, basis, action, unstable=unstable, truncated=truncated)
-
-
 def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> GradedModule:
     """Tensor product with the Cartan action Sq^a(x@y) = sum Sq^i x @ Sq^j y."""
     lo, hi = window

@@ -160,16 +160,31 @@ def test_chart_cache_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and out3 == out1
     assert cached[0].read_text(encoding="utf-8") == whole
     assert sorted(tmp_path.iterdir()) == cached
+    # an unwritable cache is a typed error, not a traceback, and leaves no
+    # temp file: an entry that is a directory, then a cache path that is a file
+    cached[0].unlink()
+    cached[0].mkdir()
+    code, out4, err4 = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
+    assert code == 2 and out4 == "" and err4.startswith("error:")
+    assert sorted(tmp_path.iterdir()) == cached
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path / "plain"))
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    code, out5, err5 = run(capsys, "ext", "--module", "builtin:sphere",
+                           "--max-s", "2", "--max-t", "4")
+    assert code == 2 and out5 == ""
+    assert err5.startswith("error:") and "HCM_CACHE_DIR" in err5
+    assert "Traceback" not in err5
 
 
 def test_rendered_chart_round_trip():
     res = rs.minimal_resolution(sm.sphere_module(10), 4, 10)
     chart = rs.ext_chart(res)
-    rendered = render.render(chart)
-    again = rendered.restore()
+    again = rs.chart_from_json(chart.to_json())
     assert again.dims == {k: v for k, v in chart.dims.items() if v}
     assert again.products == chart.products
     assert again.labels == {k: v for k, v in chart.labels.items() if v}
+    assert render.ascii_chart(again, show_labels=True)
+    assert render.svg_chart(again).startswith("<svg")
 
 
 def test_json_outputs_are_schema_versioned(capsys):

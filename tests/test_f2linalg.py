@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcm import f2linalg as f2
@@ -128,11 +128,17 @@ def test_kernel_vectors_annihilate():
             assert [(v >> p) & 1 for v in ker.basis] == [int(j == i) for j in range(ker.dim)]
 
 
-@given(st.integers(1, 64), st.integers(1, 64), st.randoms(use_true_random=False))
+@given(st.integers(0, 64), st.integers(0, 64), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
+@example(0, 5, random.Random(0))
+@example(5, 0, random.Random(0))
+@example(0, 0, random.Random(0))
 def test_rank_nullity(rows, cols, rng):
-    m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+    # about a quarter of the rows are zero; 0 x n and n x 0 shapes included
+    m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) if rng.random() < 0.75 else 0
+                                      for _ in range(rows)))
     assert f2.rank(m) + f2.kernel(m).dim == cols
+    assert f2.rank(m) == len(f2.rref(m)[1])
 
 
 def test_rank_invariant_under_permutation():

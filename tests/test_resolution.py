@@ -472,3 +472,31 @@ def test_exactness_check_catches_a_missing_generator(monkeypatch):
     monkeypatch.setattr(f2linalg, "relations", lossy)
     with pytest.raises(ContractViolationError, match="not exact"):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
+
+
+def test_relations_only_where_a_generator_is_missing(monkeypatch):
+    # The recorded ranks give each kernel's dimension, so a kernel is
+    # computed only at bidegrees that gain a generator.
+    real = f2linalg.relations
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(f2linalg, "relations", counted)
+    res = rs.minimal_resolution(sm.sphere_module(20), 6, 20)
+    gaining = {(g.s, g.t) for s in range(1, res.max_s + 1) for g in res.generators(s)}
+    assert len(calls) == len(gaining) == 37
+
+
+def test_relations_outside_the_kernel_are_caught(monkeypatch):
+    # A "kernel" that is the whole ambient space yields generators whose
+    # differential is not a cycle; stopping early at the kernel's
+    # dimension must not hide them.
+    def everything(rows, width):
+        return f2linalg.Subspace(tuple(1 << i for i in range(len(rows))), len(rows))
+
+    monkeypatch.setattr(f2linalg, "relations", everything)
+    with pytest.raises(ContractViolationError):
+        rs.minimal_resolution(sm.sphere_module(20), 6, 20)

@@ -66,7 +66,7 @@ def test_non_power_edge_accepted_when_forced():
 
 
 def test_validate_reports_adem_violation():
-    bad = sm.raw_module(
+    bad = sm.GradedModule(
         0, 2, {0: ("a",), 1: ("b",), 2: ("c",)},
         {(1, 0): (0b1,), (1, 1): (0b1,), (2, 0): (0b0,)})
     report = bad.validate()
