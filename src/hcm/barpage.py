@@ -127,16 +127,6 @@ def tensor_square_chart(n: int) -> resolution.ExtChart:
     return _cached(("tensor", n), make)
 
 
-def pi_tensor_square(n: int) -> AbelianGroup:
-    """pi_{2n-1} of the tensor square, assembled from its chart."""
-    chart = tensor_square_chart(n)
-    return resolution.homotopy_from_chart(chart, 2 * n - 1)
-
-
-def pi_d2(n: int, stem: int) -> AbelianGroup:
-    return resolution.homotopy_from_chart(d2_chart(n), stem)
-
-
 def e1_page(n: int) -> E1Page:
     """Build the page for n >= 16, n = 0, 1 or 4 mod 8, from charts.
 
@@ -149,9 +139,12 @@ def e1_page(n: int) -> E1Page:
     if n < 16:
         raise RangeError("uniform page starts at n = 16; smaller n are exceptional cases")
 
-    d2_low = pi_d2(n, 2 * n - 1)   # joins pi_{2n-1} at bar filtration 1
-    d2_high = pi_d2(n, 2 * n)      # joins pi_2n at bar filtration 1
-    tensor = pi_tensor_square(n)
+    # The quadratic summand joins pi_{2n-1} and pi_2n at bar filtration 1;
+    # the tensor square contributes its pi_{2n-1}.
+    d2 = d2_chart(n)
+    d2_low = resolution.homotopy_from_chart(d2, 2 * n - 1)
+    d2_high = resolution.homotopy_from_chart(d2, 2 * n)
+    tensor = resolution.homotopy_from_chart(tensor_square_chart(n), 2 * n - 1)
 
     exp_low, exp_high, exp_tensor = _EXPECTED[r]
     checks = (

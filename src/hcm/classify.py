@@ -154,14 +154,6 @@ def load_stems(path: Optional[str] = None) -> StemDatabase:
     return parse_stems(data)
 
 
-def query_stem(k: int, db: Optional[StemDatabase] = None) -> StemRecord:
-    return (db or load_stems()).stem(k)
-
-
-def query_product(a_label: str, b_label: str, db: Optional[StemDatabase] = None) -> ProductFact:
-    return (db or load_stems()).product(a_label, b_label)
-
-
 # -- theorem database ----------------------------------------------------------
 
 

@@ -51,7 +51,7 @@ def _frac_str(x) -> str:
 # -- module specs ---------------------------------------------------------------
 
 
-def _load_module(spec: str, n: Optional[int], window: Optional[tuple[int, int]] = None,
+def _load_module(spec: str, n: Optional[int],
                  max_t: Optional[int] = None) -> stmodule.GradedModule:
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
@@ -65,11 +65,11 @@ def _load_module(spec: str, n: Optional[int], window: Optional[tuple[int, int]] 
                     f"builtin 'o' carries cell data only for n = 0, 1, 4 mod 8 "
                     f"(got n = {n}, residue {n % 8})")
             full = f"o:{n % 8}" if name == "o" else name
-            return stmodule.builtin(full, n, window)
+            return stmodule.builtin(full, n)
         if name == "Z":
             if n is None:
                 raise InputError("builtin Z needs --n (the bottom degree)")
-            return stmodule.builtin("Z", n, window)
+            return stmodule.builtin("Z", n)
         if name == "d2-o":
             if n is None:
                 raise InputError("builtin d2-o needs --n")
@@ -77,16 +77,16 @@ def _load_module(spec: str, n: Optional[int], window: Optional[tuple[int, int]] 
         if name == "d2-sphere":
             if n is None:
                 raise InputError("builtin d2-sphere needs --n (the cell dimension)")
-            return extpower.d2_sphere(n, window)
+            return extpower.d2_sphere(n)
         if name == "d2-Z":
             if n is None:
                 raise InputError("builtin d2-Z needs --n (the bottom degree)")
-            return extpower.d2_integral(n, window)
+            return extpower.d2_integral(n)
         if name == "tensor-o":
             if n is None:
                 raise InputError("builtin tensor-o needs --n")
             o = stmodule.builtin(f"o:{n % 8}", n)
-            return stmodule.tensor(o, o, window or (2 * n - 2, 2 * n + 1))
+            return stmodule.tensor(o, o, (2 * n - 2, 2 * n + 1))
         raise InputError(f"unknown builtin module {name!r}")
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -98,12 +98,12 @@ def _load_module(spec: str, n: Optional[int], window: Optional[tuple[int, int]] 
     return stmodule.from_json(data)
 
 
-def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int,
-                  flags: tuple[int, ...] = ()) -> resolution.ExtChart:
+def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int) -> resolution.ExtChart:
     cache_dir = os.environ.get("HCM_CACHE_DIR")
     key = None
     if cache_dir:
-        blob = json.dumps([module.to_json(), max_s, max_t, list(flags)], sort_keys=True)
+        blob = json.dumps([resolution.CHART_VERSION, module.to_json(), max_s, max_t],
+                          sort_keys=True)
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
         try:
             with open(key, "r", encoding="utf-8") as fh:
@@ -111,7 +111,7 @@ def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int,
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             pass  # a missing, unreadable or invalid entry is a miss; rewritten below
     res = resolution.minimal_resolution(module, max_s, max_t)
-    chart = resolution.ext_chart(res, torsion_free_top_stems=flags)
+    chart = resolution.ext_chart(res)
     if key:
         tmp = f"{key}.{os.getpid()}.tmp"
         try:
@@ -142,7 +142,7 @@ def cmd_ext(args) -> int:
     elif args.format == "svg":
         _emit(args, render.svg_chart(chart))
     else:
-        _emit(args, render.ascii_chart(chart, show_labels=True))
+        _emit(args, render.ascii_chart(chart))
     return 0
 
 
@@ -293,7 +293,7 @@ def cmd_classify(args) -> int:
 def cmd_stems(args) -> int:
     db = classify.load_stems(args.stems)
     if args.product:
-        fact = classify.query_product(args.product[0], args.product[1], db)
+        fact = db.product(args.product[0], args.product[1])
         if args.json:
             _emit_json(args, {"a": fact.a, "b": fact.b, "result": fact.result,
                               "note": fact.note, "stems": [fact.stem_a, fact.stem_b]})
@@ -303,7 +303,7 @@ def cmd_stems(args) -> int:
         return 0
     if args.stem is None:
         raise InputError("stems query needs --stem K or --product A B")
-    rec = classify.query_stem(args.stem, db)
+    rec = db.stem(args.stem)
     if args.json:
         _emit_json(args, {
             "k": rec.k, "group": rec.group.to_json(), "im_j_order": rec.im_j_order,

@@ -198,8 +198,7 @@ def derived_edges(m: GradedModule) -> list[tuple[int, str, str]]:
     return edges
 
 
-def d2_splitting_summands(n: int, residue: Optional[int] = None
-                          ) -> tuple[GradedModule, GradedModule]:
+def d2_splitting_summands(n: int) -> tuple[GradedModule, GradedModule]:
     """The two module summands feeding the stable homotopy of O<n-1>.
 
     Returns the bottom-cells module and the extended-power module whose
@@ -209,8 +208,6 @@ def d2_splitting_summands(n: int, residue: Optional[int] = None
     if n < 3:
         raise UnsupportedError("n must be at least 3")
     r = n % 8
-    if residue is not None and residue != r:
-        raise UnsupportedError(f"n = {n} is not {residue} mod 8")
     if r not in (0, 1, 4):
         raise UnsupportedError(f"n = {n} mod 8 = {r}: only residues 0, 1, 4 are computed")
     bo_part = stmodule.builtin(f"o:{r}", n)

@@ -11,18 +11,18 @@ from __future__ import annotations
 from .resolution import ExtChart
 
 
-def _stem_range(chart: ExtChart) -> tuple[int, int]:
-    stems = [t - s for (s, t), d in chart.dims.items() if d]
-    if not stems:
-        return (0, 0)
-    return min(stems), max(stems)
+def _extent(chart: ExtChart) -> tuple[int, int, int]:
+    """Lowest stem, highest stem and top filtration of the nonzero spots."""
+    spots = [(t - s, s) for (s, t), d in chart.dims.items() if d]
+    if not spots:
+        return 0, 0, 0
+    stems = [c for c, _ in spots]
+    return min(stems), max(stems), max(s for _, s in spots)
 
 
-def ascii_chart(chart: ExtChart, stem_window: tuple[int, int] | None = None,
-                max_s: int | None = None, show_labels: bool = False) -> str:
-    lo, hi = stem_window or _stem_range(chart)
-    top = max_s if max_s is not None else max(
-        (s for (s, t), d in chart.dims.items() if d and lo <= t - s <= hi), default=0)
+def ascii_chart(chart: ExtChart) -> str:
+    """Dimension grid, then one line per class label, then the chart's notes."""
+    lo, hi, top = _extent(chart)
     width = max(3, len(str(hi)) + 1)
     lines = []
     for s in range(top, -1, -1):
@@ -33,22 +33,18 @@ def ascii_chart(chart: ExtChart, stem_window: tuple[int, int] | None = None,
         lines.append("".join(row))
     lines.append("    +" + "-" * (width * (hi - lo + 1)))
     lines.append("     " + "".join(f"{c:>{width}}" for c in range(lo, hi + 1)))
-    if show_labels:
-        lines.append("")
-        for (s, t) in sorted(chart.labels):
-            if lo <= t - s <= hi and s <= top:
-                for lbl in chart.labels[(s, t)]:
-                    lines.append(f"  ({t - s}, s={s}): {lbl}")
+    lines.append("")
+    for (s, t) in sorted(chart.labels):
+        if lo <= t - s <= hi and s <= top:
+            for lbl in chart.labels[(s, t)]:
+                lines.append(f"  ({t - s}, s={s}): {lbl}")
     for note in chart.annotations:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
 
 
-def svg_chart(chart: ExtChart, stem_window: tuple[int, int] | None = None,
-              max_s: int | None = None) -> str:
-    lo, hi = stem_window or _stem_range(chart)
-    top = max_s if max_s is not None else max(
-        (s for (s, t), d in chart.dims.items() if d and lo <= t - s <= hi), default=0)
+def svg_chart(chart: ExtChart) -> str:
+    lo, hi, top = _extent(chart)
     cell = 28
     pad = 36
     w = pad * 2 + cell * (hi - lo + 1)

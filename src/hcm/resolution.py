@@ -15,7 +15,10 @@ labels and makes repeated runs identical.  Exactness is proved at
 every bidegree: stage 0 must cover the module (its own rank count),
 and each later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
-dimensions mean they are equal.
+dimensions mean they are equal.  Every stage is the same kind of
+object, a free module whose generators map into a target; it acts on
+that target through one function, the module's action at stage 0 and
+the previous stage's Sq action after that (as in Bruner's scheme).
 
 Charts record, besides dimensions and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -44,6 +47,11 @@ from .f2linalg import _bits
 from .groups import AbelianGroup
 from .steenrod import SqSum
 from .stmodule import GradedModule
+
+# Version of the charts this engine emits; the CLI's disk cache keys on it.
+# Bump it whenever a pinned digest (CHART_DIGESTS in the tests) changes,
+# so that cached charts from before the change are no longer served.
+CHART_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,16 @@ class FreeResolution:
 
 
 class _Stage:
-    """Mutable workspace for one free module F_s during construction."""
+    """One free module F_s under construction, with its map into a target.
 
-    def __init__(self):
+    ``act(i, d, vec)`` applies Sq^i to a degree-d vector of the target:
+    the module's action at stage 0, the previous stage's ``sq`` after.
+    ``img[t]`` holds the image of every degree-t basis element.
+    """
+
+    def __init__(self, act):
+        self.act = act
         self.gens: list[Generator] = []
-        self.gen_t: list[int] = []
         self.dvec: list[int] = []  # differential/augmentation vectors
         self.basis: dict[int, list[tuple[int, tuple]]] = {}
         self.pos: dict[tuple[int, tuple], int] = {}
@@ -101,18 +114,45 @@ class _Stage:
     def dim(self, t: int) -> int:
         return len(self.basis.get(t, ()))
 
+    def sq(self, i: int, d: int, vec: int) -> int:
+        """Left-multiply a degree-d vector of this free module by Sq^i."""
+        src, pos = self.basis[d], self.pos
+        out = 0
+        for b in _bits(vec):
+            g, mon = src[b]
+            for m2 in steenrod._left_mul(i, mon):
+                p = pos.get((g, m2))
+                if p is None:
+                    raise ContractViolationError("free module basis out of range")
+                out ^= 1 << p
+        return out
 
-def _free_sq(i: int, vec: int, src_basis, dst_pos) -> int:
-    """Left-multiply a free-module vector by Sq^i."""
-    out = 0
-    for b in _bits(vec):
-        g, mon = src_basis[b]
-        for m2 in steenrod._left_mul(i, mon):
-            p = dst_pos.get((g, m2))
-            if p is None:
-                raise ContractViolationError("free module basis out of range")
-            out ^= 1 << p
-    return out
+    def extend(self, t: int):
+        """Lay out degree t for the generators present so far."""
+        if t in self.basis:
+            return
+        self.basis[t] = []
+        self.img[t] = []
+        for gi, g in enumerate(self.gens):
+            for mon in steenrod.basis(t - g.t):
+                self._append(t, gi, mon)
+
+    def add_generator(self, s: int, t: int, dvec: int, label: str):
+        """Add a generator in degree t; only its unit element joins degree t."""
+        self.gens.append(Generator(s, t, len(self.gens), label))
+        self.dvec.append(dvec)
+        self._append(t, len(self.gens) - 1, ())
+
+    def _append(self, t: int, gi: int, mon: tuple):
+        self.pos[(gi, mon)] = len(self.basis[t])
+        self.basis[t].append((gi, mon))
+        if mon == ():
+            self.img[t].append(self.dvec[gi])
+        else:
+            # The image of Sq^i rest is Sq^i applied to the image of rest.
+            i = mon[0]
+            below = self.img[t - i][self.pos[(gi, mon[1:])]]
+            self.img[t].append(self.act(i, t - i, below))
 
 
 _H_LABEL = re.compile(r"^h(\d+)(?:\^(\d+))?·(.+)$")
@@ -137,13 +177,15 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     """
     if max_s < 0 or max_t < m.lo:
         raise RangeError("empty resolution range")
-    stages: list[_Stage] = [_Stage() for _ in range(max_s + 1)]
+    stages = [_Stage(m.act)]
+    for _ in range(max_s):
+        stages.append(_Stage(stages[-1].sq))
 
     # -- stage 0: generators = basis of M / A+M, lifted to first free coordinates.
     st0 = stages[0]
-    for t in range(m.lo, min(m.hi, max_t) + 1):
+    for t in range(m.lo, max_t + 1):
+        st0.extend(t)
         dim = m.dim(t)
-        _extend_basis(st0, t, module=m)
         if dim == 0:
             continue
         covered = [v for (g, mon), v in zip(st0.basis[t], st0.img[t]) if mon != ()]
@@ -155,20 +197,16 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             for b, p in zip(sub.basis, sub.pivots):
                 if (b >> f) & 1:
                     phi |= 1 << p
-            label = m.element_name(t, phi)
-            _add_generator(st0, 0, t, 1 << f, label)
-            _refresh_basis(st0, t, module=m)
+            st0.add_generator(0, t, 1 << f, m.element_name(t, phi))
         _check_rank(st0.img[t], dim, dim, t)  # the augmentation is onto
         st0.rank[t] = dim
-    for t in range(min(m.hi, max_t) + 1, max_t + 1):
-        _extend_basis(st0, t, module=m)
 
     # -- higher stages: cover kernels degree by degree.
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
-            _extend_basis(cur, t, prev=prev)
+            cur.extend(t)
             nprev = prev.dim(t)
             if nprev == 0:
                 continue
@@ -177,15 +215,16 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             covered = f2linalg.span(
                 [v for (g, mon), v in zip(cur.basis[t], cur.img[t]) if mon != ()], nprev)
             if covered.dim < want:
+                # prev.img[t] lives in prev's target, the module or stage s - 2.
+                width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
                 ordinal = 0
-                for kv in f2linalg.relations(prev.img[t], _target_dim(prev, t)).basis:
+                for kv in f2linalg.relations(prev.img[t], width).basis:
                     red = covered.reduce(kv)
                     if red == 0:
                         continue
-                    label = _label_for(s, t, red, prev, stages[0], m, ordinal)
+                    label = _label_for(s, t, red, prev, st0, m, ordinal)
                     ordinal += 1
-                    _add_generator(cur, s, t, red, label)
-                    _refresh_basis(cur, t, prev=prev)
+                    cur.add_generator(s, t, red, label)
                     covered = f2linalg.span(covered.basis + (red,), nprev)
                     if covered.dim == want:
                         break  # every later kernel vector reduces to 0
@@ -212,7 +251,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         mins.append(min((g.t for g in stages[s].gens), default=max_t + 1))
 
     res = FreeResolution(
-        module=m, max_s=max_s, max_t=max_t,
+        m, max_s, max_t,
         stages=tuple(tuple(st.gens) for st in stages),
         diff=tuple(diffs),
         aug=tuple(stages[0].dvec),
@@ -237,53 +276,6 @@ def _check_rank(rows: list[int], width: int, want: int, t: int):
     if got != want:
         raise ContractViolationError(
             f"resolution not exact at stage 0, degree {t}: rank {got}, expected {want}")
-
-
-def _target_dim(prev: _Stage, t: int) -> int:
-    """Bit width needed to hold the image vectors at degree t."""
-    return max((v.bit_length() for v in prev.img.get(t, ())), default=0)
-
-
-def _add_generator(st: _Stage, s: int, t: int, dvec: int, label: str):
-    st.gens.append(Generator(s, t, len(st.gens), label))
-    st.gen_t.append(t)
-    st.dvec.append(dvec)
-
-
-def _extend_basis(st: _Stage, t: int, module: Optional[GradedModule] = None,
-                  prev: Optional[_Stage] = None):
-    if t in st.basis:
-        return
-    st.basis[t] = []
-    st.img[t] = []
-    for gi, gt in enumerate(st.gen_t):
-        if gt > t:
-            continue
-        for mon in steenrod.basis(t - gt):
-            _append_basis_elt(st, t, gi, mon, module, prev)
-
-
-def _refresh_basis(st: _Stage, t: int, module: Optional[GradedModule] = None,
-                   prev: Optional[_Stage] = None):
-    # A generator was added at degree t: only its unit element joins degree t.
-    gi = len(st.gen_t) - 1
-    _append_basis_elt(st, t, gi, (), module, prev)
-
-
-def _append_basis_elt(st: _Stage, t: int, gi: int, mon: tuple,
-                      module: Optional[GradedModule], prev: Optional[_Stage]):
-    st.pos[(gi, mon)] = len(st.basis[t])
-    st.basis[t].append((gi, mon))
-    if mon == ():
-        st.img[t].append(st.dvec[gi])
-        return
-    i = mon[0]
-    rest_pos = st.pos[(gi, mon[1:])]
-    below = st.img[t - i][rest_pos]
-    if module is not None:
-        st.img[t].append(module.act(i, t - i, below))
-    else:
-        st.img[t].append(_free_sq(i, below, prev.basis[t - i], prev.pos))
 
 
 def _label_for(s: int, t: int, dvec: int, prev: _Stage, st0: _Stage,

@@ -131,27 +131,26 @@ def _left_mul(i: int, mon: SqMonomial) -> frozenset:
     for head in _adem_pair(i, mon[0]):
         # head is (a+b-c,) or (a+b-c, c); re-multiply its letters onto the
         # admissible tail from the right so every step stays memoised.
-        partial = frozenset({mon[1:]})
-        for letter in reversed(head):
-            nxt: set[SqMonomial] = set()
-            for t in partial:
-                nxt.symmetric_difference_update(_left_mul(letter, t))
-            partial = frozenset(nxt)
-        acc.symmetric_difference_update(partial)
+        acc.symmetric_difference_update(_apply(head, (mon[1:],)))
     return frozenset(acc)
+
+
+def _apply(word: Sequence[int], monomials: Iterable[SqMonomial]) -> frozenset:
+    """Admissible expansion of Sq^{word[0]}...Sq^{word[-1]} times a sum of monomials."""
+    acc = frozenset(monomials)
+    for letter in reversed(word):
+        nxt: set[SqMonomial] = set()
+        for t in acc:
+            nxt.symmetric_difference_update(_left_mul(letter, t))
+        acc = frozenset(nxt)
+    return acc
 
 
 def adem_reduce(word: Sequence[int]) -> SqSum:
     """Admissible-basis expansion of Sq^{word[0]}...Sq^{word[-1]}."""
     if any(i <= 0 for i in word):
         raise ContractViolationError("word entries must be positive")
-    acc: frozenset = frozenset({()})
-    for letter in reversed(tuple(word)):
-        nxt: set[SqMonomial] = set()
-        for t in acc:
-            nxt.symmetric_difference_update(_left_mul(letter, t))
-        acc = frozenset(nxt)
-    return SqSum(tuple(sorted(acc, reverse=True)))
+    return SqSum(tuple(sorted(_apply(tuple(word), ((),)), reverse=True)))
 
 
 def product(a: SqSum, b: SqSum) -> SqSum:
@@ -165,13 +164,7 @@ def product(a: SqSum, b: SqSum) -> SqSum:
 
 @lru_cache(maxsize=None)
 def monomial_product(ma: SqMonomial, mb: SqMonomial) -> SqSum:
-    acc: frozenset = frozenset({mb})
-    for letter in reversed(ma):
-        nxt: set[SqMonomial] = set()
-        for t in acc:
-            nxt.symmetric_difference_update(_left_mul(letter, t))
-        acc = frozenset(nxt)
-    return SqSum(tuple(sorted(acc, reverse=True)))
+    return SqSum(tuple(sorted(_apply(ma, (mb,)), reverse=True)))
 
 
 @lru_cache(maxsize=None)

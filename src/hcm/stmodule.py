@@ -108,13 +108,6 @@ class GradedModule:
         return sum(len(v) for v in self.basis.values())
 
     @property
-    def top_nonzero(self) -> Optional[int]:
-        for d in range(self.hi, self.lo - 1, -1):
-            if self.dim(d):
-                return d
-        return None
-
-    @property
     def bottom_nonzero(self) -> Optional[int]:
         for d in range(self.lo, self.hi + 1):
             if self.dim(d):
@@ -391,9 +384,9 @@ def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> Grade
 # -- builtin modules --------------------------------------------------------
 
 
-def sphere_module(max_t: int, label: str = "x0") -> GradedModule:
+def sphere_module(max_t: int) -> GradedModule:
     """F_2 in degree 0: the cohomology of the sphere, complete (not truncated)."""
-    return GradedModule(0, max_t, {0: (label,)}, {}, unstable=True, truncated=False)
+    return GradedModule(0, max_t, {0: ("x0",)}, {}, unstable=True, truncated=False)
 
 
 def zero_module(window: tuple[int, int] = (0, 0)) -> GradedModule:

@@ -174,6 +174,17 @@ def test_chart_cache_env(tmp_path, capsys, monkeypatch):
     assert code == 2 and out5 == ""
     assert err5.startswith("error:") and "HCM_CACHE_DIR" in err5
     assert "Traceback" not in err5
+    # the key holds the chart version: after a bump the old entry is not
+    # served, a second entry is written, and the chart printed is the same
+    versioned = tmp_path / "versioned"
+    monkeypatch.setenv("HCM_CACHE_DIR", str(versioned))
+    code, out6, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
+    assert code == 0 and out6 == out1
+    assert len(list(versioned.glob("*.json"))) == 1
+    monkeypatch.setattr(rs, "CHART_VERSION", 2)
+    code, out7, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
+    assert code == 0 and out7 == out1
+    assert len(list(versioned.glob("*.json"))) == 2
 
 
 def test_rendered_chart_round_trip():
@@ -183,7 +194,7 @@ def test_rendered_chart_round_trip():
     assert again.dims == {k: v for k, v in chart.dims.items() if v}
     assert again.products == chart.products
     assert again.labels == {k: v for k, v in chart.labels.items() if v}
-    assert render.ascii_chart(again, show_labels=True)
+    assert render.ascii_chart(again)
     assert render.svg_chart(again).startswith("<svg")
 
 

@@ -138,8 +138,6 @@ def test_splitting_summand_contents():
 def test_residue_guard():
     with pytest.raises(UnsupportedError):
         ep.d2_splitting_summands(14)  # 6 mod 8
-    with pytest.raises(UnsupportedError):
-        ep.d2_splitting_summands(16, residue=1)
 
 
 def test_window_range_guard():

@@ -433,6 +433,8 @@ def _tensor_o(n):
 # sha256 of the sorted-key chart JSON.  Any change of dims, labels or
 # products shows here, so a digest changes only with a deliberate change
 # of the charts, never with a change of the linear algebra behind them.
+# Bump rs.CHART_VERSION whenever a digest here changes, so that the disk
+# cache stops serving the old charts.
 CHART_DIGESTS = [
     (lambda: sm.sphere_module(40), 20, 40,
      "ea7407b2636bc99811c85b6c7442803c33fbcbf50bdde8f984524112775f289f"),
