@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from . import extpower, resolution, stmodule
+from . import extpower, resolution
 from .errors import ContractViolationError, RangeError, UnsupportedError
 from .groups import AbelianGroup
 
@@ -117,11 +117,8 @@ def tensor_square_chart(n: int) -> resolution.ExtChart:
     """Adams chart of the tensor square of the connective cover (cached)."""
 
     def make():
-        r = n % 8
-        o = stmodule.builtin(f"o:{r}", n)
-        t = stmodule.tensor(o, o, (2 * n - 2, 2 * n + 1))
-        res = resolution.minimal_resolution(t, 6, 2 * n + 5)
-        towers = (2 * n - 2,) if r in (0, 4) else ()
+        res = resolution.minimal_resolution(extpower.tensor_square(n), 6, 2 * n + 5)
+        towers = (2 * n - 2,) if n % 8 in (0, 4) else ()
         return resolution.ext_chart(res, torsion_free_top_stems=towers)
 
     return _cached(("tensor", n), make)

@@ -40,6 +40,15 @@ def m2(n: int) -> int:
     return h(n - 1) - (2 * n + 2).bit_length() + 2
 
 
+# Left-hand sides under the names the paper prints them with.
+_FORMULAS = {
+    "2M1-3": lambda n: 2 * m1(n) - 3,
+    "2M2-1": lambda n: 2 * m2(n) - 1,
+    "2M2-4": lambda n: 2 * m2(n) - 4,
+    "2M2-5": lambda n: 2 * m2(n) - 5,
+}
+
+
 def v2(k: int) -> int:
     """2-adic valuation; undefined at 0."""
     if k <= 0:
@@ -200,7 +209,8 @@ def table1(from_n: int, to_n: int) -> list[TableRow]:
     if from_n > to_n:
         raise ContractViolationError("empty range")
     return [
-        TableRow(n, 2 * m1(n) - 3, Fraction(2 * n + 26, 5), PRINTED_2M1_MINUS_3.get(n))
+        TableRow(n, _FORMULAS["2M1-3"](n), Fraction(2 * n + 26, 5),
+                 PRINTED_2M1_MINUS_3.get(n))
         for n in range(from_n, to_n + 1)
     ]
 
@@ -215,13 +225,10 @@ class ScanCase:
     citation: str
     stated_n: int
     l: int  # Moore-object exponent, fixes the side condition on 2n
+    formula: str  # key into _FORMULAS
 
     def lhs(self, n: int) -> int:
-        if self.name == "d1":
-            return 2 * m1(n) - 3
-        if self.name == "d2_mod0":
-            return 2 * m2(n) - 4
-        return 2 * m2(n) - 5
+        return _FORMULAS[self.formula](n)
 
     def rhs(self, n: int) -> Fraction:
         c = vanishing_params(self.l).c
@@ -235,9 +242,9 @@ class ScanCase:
 
 
 SCAN_CASES = {
-    "d1": ScanCase("d1", (0, 1, 4), "Prop 5.6", 26, 1),
-    "d2_mod0": ScanCase("d2_mod0", (0,), "Prop 5.8", 48, 2),
-    "d2_mod1": ScanCase("d2_mod1", (1,), "Prop 5.8", 49, 3),
+    "d1": ScanCase("d1", (0, 1, 4), "Prop 5.6", 26, 1, "2M1-3"),
+    "d2_mod0": ScanCase("d2_mod0", (0,), "Prop 5.8", 48, 2, "2M2-4"),
+    "d2_mod1": ScanCase("d2_mod1", (1,), "Prop 5.8", 49, 3, "2M2-5"),
 }
 
 
@@ -320,13 +327,6 @@ _QUOTED_FILTRATIONS = {
     40: (24, "2M2-4", "Prop 5.9"),
     41: (25, "2M2-5", "Prop 5.9"),
 }
-
-_FORMULAS = {
-    "2M2-1": lambda n: 2 * m2(n) - 1,
-    "2M2-4": lambda n: 2 * m2(n) - 4,
-    "2M2-5": lambda n: 2 * m2(n) - 5,
-}
-
 
 @dataclass(frozen=True)
 class FiltrationFact:

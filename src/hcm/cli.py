@@ -51,43 +51,33 @@ def _frac_str(x) -> str:
 # -- module specs ---------------------------------------------------------------
 
 
+# name -> (constructor of n, what --n means)
+_BUILTINS = {
+    "o": (lambda n: stmodule.builtin("o", n), ""),
+    "o:0": (lambda n: stmodule.builtin("o:0", n), ""),
+    "o:1": (lambda n: stmodule.builtin("o:1", n), ""),
+    "o:4": (lambda n: stmodule.builtin("o:4", n), ""),
+    "Z": (lambda n: stmodule.builtin("Z", n), " (the bottom degree)"),
+    "d2-o": (lambda n: extpower.d2_splitting_summands(n)[1], ""),
+    "d2-sphere": (extpower.d2_sphere, " (the cell dimension)"),
+    "d2-Z": (extpower.d2_integral, " (the bottom degree)"),
+    "tensor-o": (extpower.tensor_square, ""),
+}
+
+
 def _load_module(spec: str, n: Optional[int],
                  max_t: Optional[int] = None) -> stmodule.GradedModule:
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         if name == "sphere":
-            return stmodule.sphere_module(max_t if max_t is not None else 20)
-        if name in ("o", "o:0", "o:1", "o:4"):
-            if n is None:
-                raise InputError(f"builtin {name!r} needs --n")
-            if name == "o" and n % 8 not in (0, 1, 4):
-                raise InputError(
-                    f"builtin 'o' carries cell data only for n = 0, 1, 4 mod 8 "
-                    f"(got n = {n}, residue {n % 8})")
-            full = f"o:{n % 8}" if name == "o" else name
-            return stmodule.builtin(full, n)
-        if name == "Z":
-            if n is None:
-                raise InputError("builtin Z needs --n (the bottom degree)")
-            return stmodule.builtin("Z", n)
-        if name == "d2-o":
-            if n is None:
-                raise InputError("builtin d2-o needs --n")
-            return extpower.d2_splitting_summands(n)[1]
-        if name == "d2-sphere":
-            if n is None:
-                raise InputError("builtin d2-sphere needs --n (the cell dimension)")
-            return extpower.d2_sphere(n)
-        if name == "d2-Z":
-            if n is None:
-                raise InputError("builtin d2-Z needs --n (the bottom degree)")
-            return extpower.d2_integral(n)
-        if name == "tensor-o":
-            if n is None:
-                raise InputError("builtin tensor-o needs --n")
-            o = stmodule.builtin(f"o:{n % 8}", n)
-            return stmodule.tensor(o, o, (2 * n - 2, 2 * n + 1))
-        raise InputError(f"unknown builtin module {name!r}")
+            # An empty range is left to minimal_resolution's own check.
+            return stmodule.sphere_module(max(max_t, 0) if max_t is not None else 20)
+        if name not in _BUILTINS:
+            raise InputError(f"unknown builtin module {name!r}")
+        make, meaning = _BUILTINS[name]
+        if n is None:
+            raise InputError(f"builtin {name!r} needs --n{meaning}")
+        return make(n)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -203,27 +203,30 @@ def d2_splitting_summands(n: int) -> tuple[GradedModule, GradedModule]:
 
     Returns the bottom-cells module and the extended-power module whose
     charts assemble pi_* in degrees <= 3n-4.  Only n = 0, 1, 4 mod 8
-    carry this decomposition here.
+    carry this decomposition here; other residues raise
+    ``UnsupportedError`` from :func:`stmodule.o_diagram`.
     """
     if n < 3:
         raise UnsupportedError("n must be at least 3")
-    r = n % 8
-    if r not in (0, 1, 4):
-        raise UnsupportedError(f"n = {n} mod 8 = {r}: only residues 0, 1, 4 are computed")
-    bo_part = stmodule.builtin(f"o:{r}", n)
+    bo_part = stmodule.builtin("o", n)
     d2_part = d2_homology(bo_part, (2 * n - 2, 2 * n + 1))
     return bo_part, d2_part
 
 
-def d2_sphere(dim: int, window: Optional[tuple[int, int]] = None) -> GradedModule:
-    """D_2 of a single cell in degree ``dim`` (window defaults to [2dim, 2dim+3])."""
+def tensor_square(n: int) -> GradedModule:
+    """Tensor square of the bottom cells of the connective cover, degrees 2n-2..2n+1."""
+    o = stmodule.builtin("o", n)
+    return stmodule.tensor(o, o, (2 * n - 2, 2 * n + 1))
+
+
+def d2_sphere(dim: int) -> GradedModule:
+    """D_2 of a single cell in degree ``dim``, in the window [2dim, 2dim+3]."""
     base = stmodule.from_cells(stmodule.sphere_cell_diagram(dim), (dim, dim),
                                unstable=False, truncated=False)
-    return d2_homology(base, window or (2 * dim, 2 * dim + 3), square_style="power")
+    return d2_homology(base, (2 * dim, 2 * dim + 3), square_style="power")
 
 
-def d2_integral(dim: int, window: Optional[tuple[int, int]] = None) -> GradedModule:
-    """D_2 of the degree-``dim`` integral Eilenberg-MacLane spectrum."""
-    hi = (window or (2 * dim, 2 * dim + 3))[1]
-    base = stmodule.builtin("Z", dim, window=(dim, min(dim + 5, hi - dim)))
-    return d2_homology(base, window or (2 * dim, 2 * dim + 3), square_style="power")
+def d2_integral(dim: int) -> GradedModule:
+    """D_2 of the degree-``dim`` integral Eilenberg-MacLane spectrum, in [2dim, 2dim+3]."""
+    base = stmodule.builtin("Z", dim, window=(dim, dim + 3))
+    return d2_homology(base, (2 * dim, 2 * dim + 3), square_style="power")

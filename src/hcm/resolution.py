@@ -82,13 +82,6 @@ class FreeResolution:
     def generators(self, s: int) -> tuple[Generator, ...]:
         return self.stages[s] if s <= self.max_s else ()
 
-    def entry(self, s: int, i: int, j: int) -> SqSum:
-        """Differential coefficient from stage-s generator i to stage-(s-1) generator j."""
-        for tj, sq in self.diff[s].get(i, ()):
-            if tj == j:
-                return sq
-        return SqSum.zero()
-
     @property
     def total_generators(self) -> int:
         return sum(len(st) for st in self.stages)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import f2linalg, steenrod
-from .errors import ConstructionError, ContractViolationError, DiagramError, InputError, RangeError
+from .errors import (ConstructionError, ContractViolationError, DiagramError, InputError,
+                     RangeError, UnsupportedError)
 from .steenrod import SqSum, choose_mod2
 
 
@@ -410,7 +411,7 @@ def o_diagram(n: int) -> CellDiagram:
         return diagram(
             [(y(n - 1), n - 1), (y(n + 1), n + 1), (y(n + 2), n + 2)],
             [(y(n + 1), y(n - 1), 2), (y(n + 2), y(n + 1), 1)])
-    raise RangeError(f"no cell diagram for n = {n} (n mod 8 must be 0, 1 or 4)")
+    raise UnsupportedError(f"n = {n} mod 8 = {r}: only residues 0, 1, 4 carry cell data")
 
 
 def z_diagram(shift: int = 0) -> CellDiagram:
@@ -431,29 +432,27 @@ def z_diagram(shift: int = 0) -> CellDiagram:
                        tuple(Edge(s, t, k) for s, t, k in edges))
 
 
-def sphere_cell_diagram(dim: int, label: Optional[str] = None) -> CellDiagram:
-    return diagram([(label or f"i{dim}", dim)], [])
+def sphere_cell_diagram(dim: int) -> CellDiagram:
+    return diagram([(f"i{dim}", dim)], [])
 
 
-def builtin(name: str, n: Optional[int] = None,
-            window: Optional[tuple[int, int]] = None) -> GradedModule:
-    """Builtin modules: "o:0", "o:1", "o:4" (need n), "Z" (shift n), "sphere"."""
-    if name == "sphere":
-        hi = window[1] if window else 20
-        return sphere_module(hi)
-    if name in ("o:0", "o:1", "o:4"):
-        if n is None:
-            raise InputError(f"builtin {name!r} needs n")
-        want = int(name.split(":")[1])
-        if n % 8 != want:
-            raise InputError(f"builtin {name!r} needs n = {want} mod 8, got {n}")
-        win = window or (n - 1, n + 2)
-        return from_cells(o_diagram(n), win)
+def builtin(name: str, n: int, window: Optional[tuple[int, int]] = None) -> GradedModule:
+    """The cell-diagram modules, built from ``n``.
+
+    "o" is the bottom cells of the connective cover, its residue taken
+    from n; "o:0", "o:1" and "o:4" are the same, with n checked against
+    the stated residue (``InputError``).  Residues other than 0, 1 and 4
+    raise ``UnsupportedError`` from :func:`o_diagram`.  "Z" is integral
+    Eilenberg-MacLane homology with its bottom cell in degree n.
+    """
+    if name in ("o", "o:0", "o:1", "o:4"):
+        if name != "o" and n % 8 != int(name[2:]):
+            raise InputError(f"builtin {name!r} needs n = {name[2:]} mod 8, got {n}")
+        return from_cells(o_diagram(n), window or (n - 1, n + 2))
     if name == "Z":
-        shift = n or 0
-        win = window or (shift, shift + 5)
-        if win[1] > shift + 5:
+        win = window or (n, n + 5)
+        if win[1] > n + 5:
             raise RangeError("builtin Z only carries degrees up to shift+5")
         # Spectrum-level homology: exempt from the unstability condition.
-        return from_cells(z_diagram(shift), win, unstable=False)
+        return from_cells(z_diagram(n), win, unstable=False)
     raise InputError(f"unknown builtin module {name!r}")

@@ -153,8 +153,7 @@ def test_criterion_4_golden_charts(capsys):
             if edges_in(ch, set(GOLDEN_D2[n])) != GOLDEN_D2_HEDGES[n]:
                 problems.append(f"d2 edges n={n}")
 
-            o = sm.builtin(f"o:{n % 8}", n)
-            tch = chart_of(sm.tensor(o, o, (2 * n - 2, 2 * n + 1)), 6, 2 * n + 5,
+            tch = chart_of(ep.tensor_square(n), 6, 2 * n + 5,
                            towers=(2 * n - 2,) if n % 8 in (0, 4) else ())
             got = window_cells(tch, 2 * n - 2, 2 * n - 1, 1)
             if got != GOLDEN_TENSOR[n]:
@@ -162,7 +161,7 @@ def test_criterion_4_golden_charts(capsys):
             if edges_in(tch, set(GOLDEN_TENSOR[n])) != GOLDEN_TENSOR_HEDGES[n]:
                 problems.append(f"tensor edges n={n}")
 
-        zch = chart_of(ep.d2_integral(15, (30, 33)), 5, 38)
+        zch = chart_of(ep.d2_integral(15), 5, 38)
         want_z = {(0, 30): ("i15^2",), (0, 32): ("Q2(i15) + i15·(z1^2 i15)",),
                   (1, 33): ("h1·Q1(i15)",)}
         if window_cells(zch, 30, 32, 1) != want_z:
@@ -170,7 +169,7 @@ def test_criterion_4_golden_charts(capsys):
         if rs.homotopy_from_chart(zch, 32) != AbelianGroup(0, (2, 2)):
             problems.append("integral quadratic total in degree 32")
 
-        sch = chart_of(ep.d2_sphere(15, (30, 33)), 5, 38)
+        sch = chart_of(ep.d2_sphere(15), 5, 38)
         want_s = {(0, 30): ("i15^2",), (1, 33): ("h1·Q1(i15)",)}
         if window_cells(sch, 30, 32, 1) != want_s:
             problems.append("sphere quadratic chart")
@@ -234,7 +233,7 @@ def test_criterion_6_properties(capsys):
             rs.minimal_resolution(ep.d2_splitting_summands(16)[1], 5, 38),
             rs.minimal_resolution(ep.d2_splitting_summands(17)[1], 5, 40),
             rs.minimal_resolution(ep.d2_splitting_summands(12)[1], 5, 30),
-            rs.minimal_resolution(ep.d2_integral(15, (30, 33)), 5, 38),
+            rs.minimal_resolution(ep.d2_integral(15), 5, 38),
         ]
         ok = ok and all(rs.verify(res) == [] for res in produced)
 

@@ -43,6 +43,27 @@ def test_ext_missing_file_exit_2(capsys):
     assert out == "" and "missing.json" in err
 
 
+def test_builtin_n_checked_once(capsys):
+    # A residue without cell data is one range error, whichever module needs it.
+    errs = set()
+    for name in ("o", "d2-o", "tensor-o"):
+        code, out, err = run(capsys, "ext", "--module", f"builtin:{name}", "--n", "14")
+        assert code == 3 and out == "" and err.startswith("error:") and "o:6" not in err
+        errs.add(err)
+    assert len(errs) == 1
+    for name in ("o", "o:0", "o:1", "o:4", "Z", "d2-o", "d2-sphere", "d2-Z", "tensor-o"):
+        code, out, err = run(capsys, "ext", "--module", f"builtin:{name}")
+        assert code == 2 and out == "" and "needs --n" in err, name
+    code, _, err = run(capsys, "ext", "--module", "builtin:o:1", "--n", "16")
+    assert code == 2 and "'o:1' needs n = 1 mod 8" in err
+
+
+def test_ext_empty_sphere_range_exit_3(capsys):
+    for flag in ("--max-s", "--max-t"):
+        code, out, err = run(capsys, "ext", "--module", "builtin:sphere", flag, "-1")
+        assert (code, out, err) == (3, "", "error: empty resolution range\n"), flag
+
+
 def test_ext_svg(capsys):
     code, out, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "12",
                        "--format", "svg")

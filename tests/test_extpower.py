@@ -98,7 +98,7 @@ def test_symmetrization_bookkeeping():
 
 
 def test_d2_sphere_chart_homology():
-    s = ep.d2_sphere(15, (30, 33))
+    s = ep.d2_sphere(15)
     assert {d: list(s.labels(d)) for d in range(30, 34)} == {
         30: ["i15^2"], 31: ["Q1(i15)"], 32: ["Q2(i15)"], 33: ["Q3(i15)"]}
     # the drawn picture omits the Sq_1 from Q3 to Q2; the relations force it
@@ -107,7 +107,7 @@ def test_d2_sphere_chart_homology():
 
 
 def test_d2_integral_chart_homology():
-    z = ep.d2_integral(15, (30, 33))
+    z = ep.d2_integral(15)
     assert {d: list(z.labels(d)) for d in range(30, 34)} == {
         30: ["i15^2"], 31: ["Q1(i15)"],
         32: ["Q2(i15)", "i15·(z1^2 i15)"],
@@ -164,7 +164,7 @@ def test_single_cell_matches_stunted_projective_pattern(d):
 
     width = min(6, 3 * d - 1 - 2 * d)
     window = (2 * d, 2 * d + width)
-    base = sm.from_cells(sm.sphere_cell_diagram(d, "x"), (d, d),
+    base = sm.from_cells(sm.sphere_cell_diagram(d), (d, d),
                          unstable=False, truncated=False)
     out = ep.d2_homology(base, window)
     for i in range(width + 1):

@@ -346,7 +346,7 @@ def test_prop_33_charts():
 
 
 def test_d2_integral_chart():
-    z = ep.d2_integral(15, (30, 33))
+    z = ep.d2_integral(15)
     ch = rs.ext_chart(rs.minimal_resolution(z, 5, 38))
     assert ch.labels[(0, 30)] == ("i15^2",)
     assert ch.labels[(0, 32)] == ("Q2(i15) + i15·(z1^2 i15)",)
@@ -355,7 +355,7 @@ def test_d2_integral_chart():
 
 
 def test_d2_sphere_chart():
-    s = ep.d2_sphere(15, (30, 33))
+    s = ep.d2_sphere(15)
     ch = rs.ext_chart(rs.minimal_resolution(s, 5, 38))
     assert ch.labels[(0, 30)] == ("i15^2",)
     assert ch.labels[(1, 33)] == ("h1·Q1(i15)",)
@@ -425,11 +425,6 @@ def test_chart_json_round_trip():
     assert again.trusted_stem_max == chart.trusted_stem_max
 
 
-def _tensor_o(n):
-    o = sm.builtin(f"o:{n % 8}", n)
-    return sm.tensor(o, o, (2 * n - 2, 2 * n + 1))
-
-
 # sha256 of the sorted-key chart JSON.  Any change of dims, labels or
 # products shows here, so a digest changes only with a deliberate change
 # of the charts, never with a change of the linear algebra behind them.
@@ -444,11 +439,11 @@ CHART_DIGESTS = [
      "694a7dc65fbe5f0e44171737c6ed7e460d1cd983d6b3e037927696b24f0a5342"),
     (lambda: ep.d2_splitting_summands(20)[1], 6, 47,
      "cc25eeae69ec0494f8ab36bc6885563876498a0ca273679d0f750bef83d77622"),
-    (lambda: _tensor_o(16), 6, 37,
+    (lambda: ep.tensor_square(16), 6, 37,
      "a5a9b50c8d998299fdacf181fb99b730ec692e2e0de4bf992421e31b8c4884a3"),
-    (lambda: _tensor_o(17), 6, 39,
+    (lambda: ep.tensor_square(17), 6, 39,
      "cbd1cc09c03db9c824f76b4581ac008a36d47d09c95b81f8c4f9c126a84a91fd"),
-    (lambda: _tensor_o(20), 6, 45,
+    (lambda: ep.tensor_square(20), 6, 45,
      "3475ef1ea51f231ab1002430a3ee5d5851acbdba398c306d787b369b223ef900"),
 ]
 
