@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import stmodule
-from .errors import ConstructionError, RangeError, UnsupportedError
+from .errors import ConstructionError, RangeError
+from .f2linalg import F2Matrix
 from .steenrod import choose_mod2
 from .stmodule import GradedModule
 
@@ -167,14 +168,8 @@ def d2_homology(m: GradedModule, window: tuple[int, int],
         for d in range(lo, hi - a + 1):
             # Cohomology Sq^a at degree d transposes homology Sq_a from d+a.
             lowered = [sq_lower(a, cl) for cl in classes[d + a]]
-            rows = []
-            for i in range(len(classes[d])):
-                v = 0
-                for j, w in enumerate(lowered):
-                    if (w >> i) & 1:
-                        v |= 1 << j
-                rows.append(v)
-            action[(a, d)] = tuple(rows)
+            action[(a, d)] = F2Matrix(len(lowered), len(classes[d]),
+                                      tuple(lowered)).transpose().data
 
     out = GradedModule(lo, hi, basis, action, unstable=False, truncated=True)
     problems = out.validate()
@@ -202,12 +197,10 @@ def d2_splitting_summands(n: int) -> tuple[GradedModule, GradedModule]:
     """The two module summands feeding the stable homotopy of O<n-1>.
 
     Returns the bottom-cells module and the extended-power module whose
-    charts assemble pi_* in degrees <= 3n-4.  Only n = 0, 1, 4 mod 8
-    carry this decomposition here; other residues raise
+    charts assemble pi_* in degrees <= 3n-4.  Only n >= 3 with
+    n = 0, 1, 4 mod 8 carries this decomposition here; any other n raises
     ``UnsupportedError`` from :func:`stmodule.o_diagram`.
     """
-    if n < 3:
-        raise UnsupportedError("n must be at least 3")
     bo_part = stmodule.builtin("o", n)
     d2_part = d2_homology(bo_part, (2 * n - 2, 2 * n + 1))
     return bo_part, d2_part

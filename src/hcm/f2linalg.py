@@ -43,39 +43,9 @@ class F2Matrix:
         if any(r < 0 or r >= bound for r in self.data):
             raise ContractViolationError("row has bits beyond the last column")
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def from_rows(rows: Sequence[Iterable[int]], cols: Optional[int] = None) -> "F2Matrix":
-        packed = []
-        width = 0
-        for row in rows:
-            bits = [int(v) & 1 for v in row]
-            width = max(width, len(bits))
-            packed.append(sum(b << j for j, b in enumerate(bits)))
-        if cols is None:
-            cols = width
-        return F2Matrix(len(packed), cols, tuple(packed))
-
-    @staticmethod
-    def from_row_ints(row_ints: Sequence[int], cols: int) -> "F2Matrix":
-        return F2Matrix(len(row_ints), cols, tuple(row_ints))
-
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":
         return F2Matrix(rows, cols, (0,) * rows)
-
-    @staticmethod
-    def identity(n: int) -> "F2Matrix":
-        return F2Matrix(n, n, tuple(1 << i for i in range(n)))
-
-    # -- basic views --------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
     def transpose(self) -> "F2Matrix":
         if not self.rows:
@@ -89,25 +59,6 @@ class F2Matrix:
             strs = [format((r >> lo) & ((1 << w) - 1), f"0{w}b")[::-1] for r in self.data]
             cols.extend(int("".join(col)[::-1], 2) for col in zip(*strs))
         return F2Matrix(self.cols, self.rows, tuple(cols))
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector (vector packed like a row)."""
-        out = 0
-        for i, r in enumerate(self.data):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-    def mul(self, other: "F2Matrix") -> "F2Matrix":
-        if self.cols != other.rows:
-            raise ContractViolationError("dimension mismatch in matrix product")
-        out = []
-        for r in self.data:
-            acc = 0
-            for j in _bits(r):
-                acc ^= other.data[j]
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -172,9 +123,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo this subspace."""
         for b, p in zip(self.basis, self.pivots):
@@ -184,7 +132,8 @@ class Subspace:
 
 
 def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
-    r, pivots = rref(F2Matrix.from_row_ints(tuple(vectors), ambient_dim))
+    rows = tuple(vectors)
+    r, pivots = rref(F2Matrix(len(rows), ambient_dim, rows))
     return Subspace(r.data[: len(pivots)], ambient_dim)
 
 

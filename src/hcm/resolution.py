@@ -79,9 +79,6 @@ class FreeResolution:
     aug: tuple[int, ...]  # stage-0 generator -> bit-packed module vector
     stage_min_degree: tuple[int, ...]  # lower bound per stage (max_t+1 if none)
 
-    def generators(self, s: int) -> tuple[Generator, ...]:
-        return self.stages[s] if s <= self.max_s else ()
-
     @property
     def total_generators(self) -> int:
         return sum(len(st) for st in self.stages)
@@ -181,8 +178,8 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         dim = m.dim(t)
         if dim == 0:
             continue
-        covered = [v for (g, mon), v in zip(st0.basis[t], st0.img[t]) if mon != ()]
-        sub = f2linalg.span(covered, dim)
+        # Laid out before any degree-t generator exists: img[t] holds only decomposables.
+        sub = f2linalg.span(st0.img[t], dim)
         for f in range(dim):
             if f in sub.pivots:
                 continue
@@ -205,8 +202,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                 continue
             # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
             want = nprev - prev.rank.get(t, 0)
-            covered = f2linalg.span(
-                [v for (g, mon), v in zip(cur.basis[t], cur.img[t]) if mon != ()], nprev)
+            covered = f2linalg.span(cur.img[t], nprev)  # only decomposables, as at stage 0
             if covered.dim < want:
                 # prev.img[t] lives in prev's target, the module or stage s - 2.
                 width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
@@ -265,7 +261,7 @@ def _check_rank(rows: list[int], width: int, want: int, t: int):
     previous stage's recorded rank gives, and ``relations`` runs only
     where that comparison shows a generator is missing.
     """
-    got = f2linalg.rank(f2linalg.F2Matrix.from_row_ints(tuple(rows), width))
+    got = f2linalg.rank(f2linalg.F2Matrix(len(rows), width, tuple(rows)))
     if got != want:
         raise ContractViolationError(
             f"resolution not exact at stage 0, degree {t}: rank {got}, expected {want}")

@@ -397,8 +397,11 @@ def zero_module(window: tuple[int, int] = (0, 0)) -> GradedModule:
 def o_diagram(n: int) -> CellDiagram:
     """Bottom cells of the connective-cover spectrum, residues 0/1/4 mod 8.
 
-    Degrees n-1..n+2; the pattern depends only on n mod 8.
+    Degrees n-1..n+2; the pattern depends only on n mod 8.  Like the
+    classification, it is given for n >= 3 only.
     """
+    if n < 3:
+        raise UnsupportedError("n must be at least 3")
     r = n % 8
     y = lambda d: f"y{d}"
     if r == 0:
@@ -441,9 +444,9 @@ def builtin(name: str, n: int, window: Optional[tuple[int, int]] = None) -> Grad
 
     "o" is the bottom cells of the connective cover, its residue taken
     from n; "o:0", "o:1" and "o:4" are the same, with n checked against
-    the stated residue (``InputError``).  Residues other than 0, 1 and 4
-    raise ``UnsupportedError`` from :func:`o_diagram`.  "Z" is integral
-    Eilenberg-MacLane homology with its bottom cell in degree n.
+    the stated residue (``InputError``).  n < 3 and residues other than
+    0, 1 and 4 raise ``UnsupportedError`` from :func:`o_diagram`.  "Z" is
+    integral Eilenberg-MacLane homology with its bottom cell in degree n.
     """
     if name in ("o", "o:0", "o:1", "o:4"):
         if name != "o" and n % 8 != int(name[2:]):

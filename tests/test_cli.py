@@ -51,6 +51,14 @@ def test_builtin_n_checked_once(capsys):
         assert code == 3 and out == "" and err.startswith("error:") and "o:6" not in err
         errs.add(err)
     assert len(errs) == 1
+    # So is an n below 3, before its residue is looked at (-7 is 1 mod 8).
+    errs = set()
+    for name in ("o", "d2-o", "tensor-o"):
+        for n in ("1", "0", "-7"):
+            code, out, err = run(capsys, "ext", "--module", f"builtin:{name}", "--n", n)
+            assert code == 3 and out == "", (name, n)
+            errs.add(err)
+    assert errs == {"error: n must be at least 3\n"}
     for name in ("o", "o:0", "o:1", "o:4", "Z", "d2-o", "d2-sphere", "d2-Z", "tensor-o"):
         code, out, err = run(capsys, "ext", "--module", f"builtin:{name}")
         assert code == 2 and out == "" and "needs --n" in err, name

@@ -33,11 +33,30 @@ def naive_rref(rows, cols):
 
 
 def from_lists(rows, cols):
-    return f2.F2Matrix.from_rows(rows, cols)
+    """Pack lists of 0/1 into a matrix: entry j of a row is bit j."""
+    return f2.F2Matrix(len(rows), cols, tuple(sum(b << j for j, b in enumerate(r)) for r in rows))
+
+
+def to_lists(m):
+    """Unpack a matrix into lists of 0/1."""
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.data]
+
+
+def parity_product(m, x):
+    """m·x over GF(2), the vector packed like a row."""
+    out = 0
+    for i, r in enumerate(m.data):
+        if (r & x).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
+def identity(n):
+    return f2.F2Matrix(n, n, tuple(1 << i for i in range(n)))
 
 
 def test_rref_identity():
-    m = f2.F2Matrix.identity(3)
+    m = identity(3)
     r, piv = f2.rref(m)
     assert r == m
     assert piv == (0, 1, 2)
@@ -46,7 +65,7 @@ def test_rref_identity():
 def test_rref_hand_example():
     m = from_lists([[1, 1], [1, 1]], 2)
     r, piv = f2.rref(m)
-    assert r.to_lists() == [[1, 1], [0, 0]]
+    assert to_lists(r) == [[1, 1], [0, 0]]
     assert piv == (0,)
 
 
@@ -72,8 +91,8 @@ def test_rref_exhaustive_4x4_against_oracle():
         rows = [(bits >> (4 * i)) & 15 for i in range(4)]
         m = f2.F2Matrix(4, 4, tuple(rows))
         got, piv = f2.rref(m)
-        want, want_piv = naive_rref(m.to_lists(), 4)
-        assert got.to_lists() == want
+        want, want_piv = naive_rref(to_lists(m), 4)
+        assert to_lists(got) == want
         assert list(piv) == want_piv
 
 
@@ -84,8 +103,8 @@ def test_rref_random_8x8_against_oracle():
         cols = rng.randrange(1, 9)
         m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         got, piv = f2.rref(m)
-        want, want_piv = naive_rref(m.to_lists(), cols)
-        assert got.to_lists() == want and list(piv) == want_piv
+        want, want_piv = naive_rref(to_lists(m), cols)
+        assert to_lists(got) == want and list(piv) == want_piv
 
 
 def test_rref_preserves_row_space():
@@ -95,14 +114,14 @@ def test_rref_preserves_row_space():
         r, _ = f2.rref(m)
         span_before = f2.span(m.data, m.cols)
         for row in r.data:
-            assert span_before.contains(row)
+            assert span_before.reduce(row) == 0
         span_after = f2.span(r.data, r.cols)
         for row in m.data:
-            assert span_after.contains(row)
+            assert span_after.reduce(row) == 0
 
 
 def test_kernel_examples():
-    assert f2.kernel(f2.F2Matrix.identity(2)).basis == ()
+    assert f2.kernel(identity(2)).basis == ()
     k = f2.kernel(from_lists([[1, 1]], 2))
     assert k.basis == (0b11,)
     k = f2.kernel(f2.F2Matrix.zero(1, 3))
@@ -118,7 +137,7 @@ def test_kernel_vectors_annihilate():
         m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         ker = f2.kernel(m)
         for v in ker.basis:
-            assert m.mul_vec(v) == 0
+            assert parity_product(m, v) == 0
         # reduced echelon: pivots (lowest set bits) strictly increase and
         # each pivot column is a unit column
         pivots = [(v & -v).bit_length() - 1 for v in ker.basis]
@@ -152,7 +171,7 @@ def test_rank_invariant_under_permutation():
 
 
 def test_solve_identity():
-    m = f2.F2Matrix.identity(4)
+    m = identity(4)
     assert f2.solve(m, 0b1010) == 0b1010
 
 
@@ -164,7 +183,7 @@ def test_solve_no_solution():
 def test_solve_underdetermined():
     m = from_lists([[1, 1]], 2)
     x = f2.solve(m, 0b1)
-    assert x is not None and m.mul_vec(x) == 0b1
+    assert x is not None and parity_product(m, x) == 0b1
 
 
 def test_solve_round_trip_random():
@@ -175,15 +194,15 @@ def test_solve_round_trip_random():
         b = rng.getrandbits(rows)
         x = f2.solve(m, b)
         if x is not None:
-            assert m.mul_vec(x) == b
+            assert parity_product(m, x) == b
         else:
             # b outside the column space: confirm by brute force when small.
             if cols <= 8:
-                assert all(m.mul_vec(v) != b for v in range(1 << cols))
+                assert all(parity_product(m, v) != b for v in range(1 << cols))
 
 
 def test_solve_dimension_mismatch():
-    m = f2.F2Matrix.identity(2)
+    m = identity(2)
     with pytest.raises(ContractViolationError):
         f2.solve(m, 0b111)
 
@@ -201,12 +220,5 @@ def test_transpose_involution():
         m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
         t = m.transpose()
         assert (t.rows, t.cols) == (cols, rows)
-        assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
-
-
-def test_mul_associative_with_vec():
-    rng = random.Random(37)
-    a = f2.F2Matrix(4, 5, tuple(rng.getrandbits(5) for _ in range(4)))
-    b = f2.F2Matrix(5, 3, tuple(rng.getrandbits(3) for _ in range(5)))
-    v = rng.getrandbits(3)
-    assert a.mul_vec(b.mul_vec(v)) == a.mul(b).mul_vec(v)
+        entries = to_lists(m)
+        assert to_lists(t) == [[entries[i][j] for i in range(rows)] for j in range(cols)]

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from hcm import classify
 from hcm import extpower as ep
 from hcm import f2linalg
 from hcm import resolution as rs
@@ -406,6 +407,26 @@ def test_refusals():
         rs.homotopy_from_chart(syn, 8)
 
 
+def test_certified_sphere_stems_match_the_stems_table():
+    # Every stem the chart certifies must equal the bundled table; a wrong
+    # group from either side, such as a misread 2-extension, fails here.
+    chart = rs.ext_chart(rs.minimal_resolution(sm.sphere_module(40), 20, 40),
+                         torsion_free_top_stems=(0,))
+    db = classify.load_stems()
+    certified = set()
+    for k in range(1, 20):
+        try:
+            group = rs.homotopy_from_chart(chart, k)
+        except RefusalError:
+            continue
+        assert group == db.stem(k).group, k
+        certified.add(k)
+    assert certified >= {1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13}
+    for k in (14, 15):  # d2(h4) = h0·h3² is a real differential
+        with pytest.raises(RefusalError):
+            rs.homotopy_from_chart(chart, k)
+
+
 def test_product_edges_geometry():
     # h_k edges connect (s, t) to (s+1, t + 2^k)
     for make in (lambda: sphere_chart(6, 20)[1],
@@ -483,7 +504,7 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
 
     monkeypatch.setattr(f2linalg, "relations", counted)
     res = rs.minimal_resolution(sm.sphere_module(20), 6, 20)
-    gaining = {(g.s, g.t) for s in range(1, res.max_s + 1) for g in res.generators(s)}
+    gaining = {(g.s, g.t) for st in res.stages[1:] for g in st}
     assert len(calls) == len(gaining) == 37
 
 
