@@ -3,7 +3,7 @@
 Commands: ext, d2, bar-e1, bounds (table|scan|check), classify,
 stems (query).  Data goes to stdout (or --out), diagnostics to stderr.
 Exit codes: 0 success, 2 bad input, 3 out of range, 4 refusal to
-assemble.  Set HCM_CACHE_DIR to cache chart computations between runs.
+assemble, 5 a failed self-check of the engine.  Set HCM_CACHE_DIR to cache chart computations between runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all hcm modules.
 
 Exit-code mapping used by the CLI: input/parse problems -> 2,
-range/window problems -> 3, refusal to assemble an answer -> 4.
+range/window problems -> 3, refusal to assemble an answer -> 4, a
+failed self-check of the engine (a bug, not bad input) -> 5.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class RefusalError(HcmError):
     """The library refuses to assemble an answer it cannot certify."""
 
     exit_code = 4
+
+
+class InternalError(HcmError):
+    """The engine's own self-check failed: a wrong answer was caught, not bad input."""
+
+    exit_code = 5
 
 
 class NotFoundError(InputError):

@@ -66,13 +66,28 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     piv: dict[int, int] = {}
     for row in rows:
         while row:
-            c = _low_bit(row)
+            c = (row & -row).bit_length() - 1  # _low_bit, inlined in this hot loop
             other = piv.get(c)
             if other is None:
                 piv[c] = row
                 break
             row ^= other
     return piv
+
+
+def _back_substitute(piv: dict[int, int], cols: list[int]) -> list[int]:
+    """Clear the pivot columns ``cols`` (sorted) from the rows ``piv`` holds for them.
+
+    Rows with pivots beyond c are already reduced, so clearing one pivot
+    bit never sets another; going in decreasing column order suffices.
+    """
+    mask = sum(1 << c for c in cols)
+    for c in reversed(cols):
+        row = piv[c]
+        for b in _bits((row & mask) ^ (1 << c)):
+            row ^= piv[b]
+        piv[c] = row
+    return [piv[c] for c in cols]
 
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
@@ -85,22 +100,27 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """
     piv = _echelon(m.data)
     cols = sorted(piv)
-    mask = sum(1 << c for c in cols)
-    # Back-substitute in decreasing column order.  Rows with pivots beyond
-    # c are already reduced, so clearing one pivot bit never sets another.
-    for c in reversed(cols):
-        row = piv[c]
-        for b in _bits((row & mask) ^ (1 << c)):
-            row ^= piv[b]
-        piv[c] = row
-    out_rows = [piv[c] for c in cols]
+    out_rows = _back_substitute(piv, cols)
     out_rows.extend([0] * (m.rows - len(out_rows)))
     return F2Matrix(m.rows, m.cols, tuple(out_rows)), tuple(cols)
 
 
 def rank(m: F2Matrix) -> int:
-    """Number of pivots, by forward elimination only (no back-substitution)."""
-    return len(_echelon(m.data))
+    """Number of pivots, by forward elimination only.
+
+    Pivots are taken at the highest set bit, which ``bit_length`` finds
+    without building a new integer; only the count is returned.
+    """
+    piv: dict[int, int] = {}
+    for row in m.data:
+        while row:
+            c = row.bit_length()
+            other = piv.get(c)
+            if other is None:
+                piv[c] = row
+                break
+            row ^= other
+    return len(piv)
 
 
 @dataclass(frozen=True)
@@ -140,14 +160,16 @@ def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
 def relations(rows: Sequence[int], width: int) -> Subspace:
     """{x : XOR of rows[i] over the set bits of x is 0}, in reduced echelon form.
 
-    One elimination of ``[rows | identity]`` (Bruner 1989): the reduced
-    rows whose pivot lies in the identity block, shifted down by
-    ``width``, are the unique reduced echelon basis of the relations.
+    One forward elimination of ``[rows | identity]`` (Bruner 1989).  A
+    row whose pivot lies in the identity block has no bits in the first
+    ``width`` columns, so back-substituting those rows among themselves
+    gives their reduced form; the other rows are left unreduced.  Shifted
+    down by ``width``, they are the unique reduced echelon basis of the
+    relations.
     """
-    aug = tuple(r | 1 << (width + i) for i, r in enumerate(rows))
-    r, pivots = rref(F2Matrix(len(aug), width + len(aug), aug))
-    return Subspace(tuple(row >> width for row, p in zip(r.data, pivots) if p >= width),
-                    len(aug))
+    piv = _echelon(r | 1 << (width + i) for i, r in enumerate(rows))
+    cols = sorted(c for c in piv if c >= width)
+    return Subspace(tuple(row >> width for row in _back_substitute(piv, cols)), len(rows))
 
 
 def kernel(m: F2Matrix) -> Subspace:

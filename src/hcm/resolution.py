@@ -4,8 +4,9 @@ The resolution is built degree by degree and decides by rank first.
 Each stage records the rank of its image at every degree, so the kernel
 of the previous differential has a known dimension (previous stage's
 dimension minus that rank) before any kernel is computed.  Where the
-image of the decomposables already has that dimension, no generator is
-missing and no kernel is computed.  Elsewhere the kernel is read off
+image of the decomposables already has that dimension, counted by
+forward elimination only, no generator is missing and neither a reduced
+span nor a kernel is computed.  Elsewhere the kernel is read off
 one elimination of ``[image | identity]`` (Bruner, "Calculation of
 large Ext modules", 1989), and new free generators are added for the
 part of it not yet reached, until the image has the kernel's
@@ -15,10 +16,13 @@ labels and makes repeated runs identical.  Exactness is proved at
 every bidegree: stage 0 must cover the module (its own rank count),
 and each later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
-dimensions mean they are equal.  Every stage is the same kind of
-object, a free module whose generators map into a target; it acts on
-that target through one function, the module's action at stage 0 and
-the previous stage's Sq action after that (as in Bruner's scheme).
+dimensions mean they are equal; a failed check raises ``InternalError``.
+Every stage is the same kind of object, a free module whose generators
+map into a target; it acts on that target through one function, the
+module's action at stage 0 and the previous stage's Sq action after
+that (as in Bruner's scheme); a free module's action XORs one cached
+``steenrod.sq_masks`` row per set bit.  Stage s + 1 reads only stage
+s's images, so stage s - 1's images are dropped once stage s is done.
 
 Charts record, besides dimensions and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import f2linalg, steenrod
-from .errors import ContractViolationError, RangeError, RefusalError
+from .errors import InternalError, RangeError, RefusalError
 from .f2linalg import _bits
 from .groups import AbelianGroup
 from .steenrod import SqSum
@@ -89,60 +93,64 @@ class _Stage:
 
     ``act(i, d, vec)`` applies Sq^i to a degree-d vector of the target:
     the module's action at stage 0, the previous stage's ``sq`` after.
-    ``img[t]`` holds the image of every degree-t basis element.
+    Degree t is laid out as ``keys[t]``, one ``(generator, relative
+    degree e, k)`` key per basis element ``steenrod.basis(e)[k]`` on that
+    generator, each generator's elements in one block that starts at
+    ``offset[t][generator]``.  ``img[t]`` holds the image of every
+    degree-t basis element; it is emptied once the next stage is done.
     """
 
     def __init__(self, act):
         self.act = act
         self.gens: list[Generator] = []
         self.dvec: list[int] = []  # differential/augmentation vectors
-        self.basis: dict[int, list[tuple[int, tuple]]] = {}
-        self.pos: dict[tuple[int, tuple], int] = {}
+        self.keys: dict[int, list[tuple[int, int, int]]] = {}
+        self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
         self.rank: dict[int, int] = {}  # dim of the span of img[t]
 
     def dim(self, t: int) -> int:
-        return len(self.basis.get(t, ()))
+        return len(self.keys.get(t, ()))
 
     def sq(self, i: int, d: int, vec: int) -> int:
         """Left-multiply a degree-d vector of this free module by Sq^i."""
-        src, pos = self.basis[d], self.pos
+        off = self.offset.get(d + i)
+        if off is None:
+            raise InternalError("free module basis out of range")
+        keys, masks = self.keys[d], steenrod.sq_masks
         out = 0
         for b in _bits(vec):
-            g, mon = src[b]
-            for m2 in steenrod._left_mul(i, mon):
-                p = pos.get((g, m2))
-                if p is None:
-                    raise ContractViolationError("free module basis out of range")
-                out ^= 1 << p
+            g, e, k = keys[b]
+            out ^= masks(i, e)[k] << off[g]
         return out
 
     def extend(self, t: int):
         """Lay out degree t for the generators present so far."""
-        if t in self.basis:
+        if t in self.keys:
             return
-        self.basis[t] = []
-        self.img[t] = []
+        keys, offset, img = [], [], []
+        self.keys[t], self.offset[t], self.img[t] = keys, offset, img
         for gi, g in enumerate(self.gens):
-            for mon in steenrod.basis(t - g.t):
-                self._append(t, gi, mon)
+            e = t - g.t
+            offset.append(len(keys))
+            # The image of Sq^i rest is Sq^i applied to the image of rest.
+            for k, (i, j) in enumerate(steenrod.first_letters(e)):
+                keys.append((gi, e, k))
+                img.append(self.act(i, t - i, self.img[t - i][self.offset[t - i][gi] + j]))
 
     def add_generator(self, s: int, t: int, dvec: int, label: str):
         """Add a generator in degree t; only its unit element joins degree t."""
-        self.gens.append(Generator(s, t, len(self.gens), label))
+        gi = len(self.gens)
+        self.gens.append(Generator(s, t, gi, label))
         self.dvec.append(dvec)
-        self._append(t, len(self.gens) - 1, ())
+        self.offset[t].append(len(self.keys[t]))
+        self.keys[t].append((gi, 0, 0))
+        self.img[t].append(dvec)
 
-    def _append(self, t: int, gi: int, mon: tuple):
-        self.pos[(gi, mon)] = len(self.basis[t])
-        self.basis[t].append((gi, mon))
-        if mon == ():
-            self.img[t].append(self.dvec[gi])
-        else:
-            # The image of Sq^i rest is Sq^i applied to the image of rest.
-            i = mon[0]
-            below = self.img[t - i][self.pos[(gi, mon[1:])]]
-            self.img[t].append(self.act(i, t - i, below))
+    def monomial(self, t: int, b: int) -> tuple[int, tuple]:
+        """Generator and Steenrod monomial of basis element b in degree t."""
+        g, e, k = self.keys[t][b]
+        return g, steenrod.basis(e)[k]
 
 
 _H_LABEL = re.compile(r"^h(\d+)(?:\^(\d+))?·(.+)$")
@@ -172,23 +180,28 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         stages.append(_Stage(stages[-1].sq))
 
     # -- stage 0: generators = basis of M / A+M, lifted to first free coordinates.
+    # A degree is laid out before any of its generators exist, so img[t]
+    # first holds only decomposables, at every stage.
     st0 = stages[0]
     for t in range(m.lo, max_t + 1):
         st0.extend(t)
         dim = m.dim(t)
         if dim == 0:
             continue
-        # Laid out before any degree-t generator exists: img[t] holds only decomposables.
-        sub = f2linalg.span(st0.img[t], dim)
-        for f in range(dim):
-            if f in sub.pivots:
-                continue
-            phi = 1 << f
-            for b, p in zip(sub.basis, sub.pivots):
-                if (b >> f) & 1:
-                    phi |= 1 << p
-            st0.add_generator(0, t, 1 << f, m.element_name(t, phi))
-        _check_rank(st0.img[t], dim, dim, t)  # the augmentation is onto
+        got = _rank(st0.img[t], dim)
+        if got < dim:
+            sub = f2linalg.span(st0.img[t], dim)
+            for f in range(dim):
+                if f in sub.pivots:
+                    continue
+                phi = 1 << f
+                for b, p in zip(sub.basis, sub.pivots):
+                    if (b >> f) & 1:
+                        phi |= 1 << p
+                st0.add_generator(0, t, 1 << f, m.element_name(t, phi))
+            # The augmentation must be onto; count afresh, not from the choice above.
+            got = _rank(st0.img[t], dim)
+        _check_exact(0, t, got, dim)
         st0.rank[t] = dim
 
     # -- higher stages: cover kernels degree by degree.
@@ -202,8 +215,9 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                 continue
             # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
             want = nprev - prev.rank.get(t, 0)
-            covered = f2linalg.span(cur.img[t], nprev)  # only decomposables, as at stage 0
-            if covered.dim < want:
+            got = _rank(cur.img[t], nprev)
+            if got < want:
+                covered = f2linalg.span(cur.img[t], nprev)
                 # prev.img[t] lives in prev's target, the module or stage s - 2.
                 width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
                 ordinal = 0
@@ -217,11 +231,10 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     covered = f2linalg.span(covered.basis + (red,), nprev)
                     if covered.dim == want:
                         break  # every later kernel vector reduces to 0
-            if covered.dim != want:
-                raise ContractViolationError(
-                    f"resolution not exact at stage {s}, degree {t}: "
-                    f"image dim {covered.dim}, kernel dim {want}")
-            cur.rank[t] = covered.dim
+                got = covered.dim
+            _check_exact(s, t, got, want)
+            cur.rank[t] = got
+        prev.img = {}  # only stage s's images are read from here on
 
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
@@ -229,7 +242,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         for g, vec in zip(stages[s].gens, stages[s].dvec):
             entries: dict[int, set] = {}
             for b in _bits(vec):
-                tg, mon = prev.basis[g.t][b]
+                tg, mon = prev.monomial(g.t, b)
                 entries.setdefault(tg, set()).add(mon)
             diffs[s][g.index] = tuple(
                 (tg, SqSum(tuple(sorted(mons, reverse=True))))
@@ -247,31 +260,32 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         stage_min_degree=tuple(mins))
     problems = verify(res)
     if problems:
-        raise ContractViolationError("resolution failed verification: " + "; ".join(problems))
+        raise InternalError("resolution failed verification: " + "; ".join(problems))
     return res
 
 
-def _check_rank(rows: list[int], width: int, want: int, t: int):
-    """Raise unless the stage-0 images ``rows`` span the module's ``want`` dimensions.
+def _rank(rows: list[int], width: int) -> int:
+    return f2linalg.rank(f2linalg.F2Matrix(len(rows), width, tuple(rows)))
 
-    The augmentation must be onto the module at every degree.  The rank
-    comes from its own elimination, so the check does not rely on
-    the generators it audits.  Later stages need no such call: their
-    image's dimension is compared with the kernel dimension that the
-    previous stage's recorded rank gives, and ``relations`` runs only
-    where that comparison shows a generator is missing.
+
+def _check_exact(s: int, t: int, got: int, want: int):
+    """Raise unless the image at (s, t) has the dimension exactness needs.
+
+    At stage 0 that is the module's dimension (the augmentation is onto);
+    later it is the kernel's dimension, which the previous stage's rank
+    gives.  ``verify`` checks d.d = 0 independently, so the image lies in
+    the kernel, and equal dimensions make them equal.
     """
-    got = f2linalg.rank(f2linalg.F2Matrix(len(rows), width, tuple(rows)))
     if got != want:
-        raise ContractViolationError(
-            f"resolution not exact at stage 0, degree {t}: rank {got}, expected {want}")
+        raise InternalError(
+            f"resolution not exact at stage {s}, degree {t}: image dim {got}, expected {want}")
 
 
 def _label_for(s: int, t: int, dvec: int, prev: _Stage, st0: _Stage,
                m: GradedModule, ordinal: int) -> str:
     entries: dict[int, list[tuple]] = {}
     for b in _bits(dvec):
-        g, mon = prev.basis[t][b]
+        g, mon = prev.monomial(t, b)
         entries.setdefault(g, []).append(mon)
     # Rule 1: an h_k edge (a bare Sq^{2^k} entry); take the earliest source.
     best = None
@@ -312,10 +326,11 @@ def verify(res: FreeResolution) -> list[str]:
             acc: dict[tuple[int, tuple], int] = {}
             for j, sq in entries:
                 for j2, sq2 in res.diff[s - 1].get(j, ()):
-                    prod = steenrod.product(sq, sq2)
-                    for mon in prod.terms:
-                        key = (j2, mon)
-                        acc[key] = acc.get(key, 0) ^ 1
+                    for ma in sq.terms:
+                        for mb in sq2.terms:
+                            for mon in steenrod.monomial_product(ma, mb).terms:
+                                key = (j2, mon)
+                                acc[key] = acc.get(key, 0) ^ 1
             if any(acc.values()):
                 problems.append(f"d.d != 0 at stage {s}, generator {i}")
     for i, entries in res.diff[1].items() if res.max_s >= 1 else ():

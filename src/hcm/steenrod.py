@@ -189,3 +189,23 @@ def basis(deg: int) -> tuple[SqMonomial, ...]:
 
 def basis_dim(deg: int) -> int:
     return len(basis(deg))
+
+
+@lru_cache(maxsize=None)
+def sq_masks(i: int, d: int) -> tuple[int, ...]:
+    """Sq^i (i >= 1) on ``basis(d)`` as bitmasks over ``basis(d + i)``.
+
+    Bit p of entry k is set when ``basis(d + i)[p]`` occurs in the
+    admissible expansion of Sq^i times ``basis(d)[k]``.
+    """
+    pos = {mon: p for p, mon in enumerate(basis(d + i))}
+    return tuple(sum(1 << pos[m] for m in _left_mul(i, mon)) for mon in basis(d))
+
+
+@lru_cache(maxsize=None)
+def first_letters(deg: int) -> tuple[tuple[int, int], ...]:
+    """For each ``basis(deg)`` element Sq^i rest (deg >= 1): i and the index of rest.
+
+    ``rest`` is admissible, so it sits in ``basis(deg - i)``.
+    """
+    return tuple((mon[0], basis(deg - mon[0]).index(mon[1:])) for mon in basis(deg))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hcm import cli, render, resolution as rs, stmodule as sm
+from hcm import cli, f2linalg, render, resolution as rs, stmodule as sm
 
 
 def run(capsys, *argv):
@@ -70,6 +70,22 @@ def test_ext_empty_sphere_range_exit_3(capsys):
     for flag in ("--max-s", "--max-t"):
         code, out, err = run(capsys, "ext", "--module", "builtin:sphere", flag, "-1")
         assert (code, out, err) == (3, "", "error: empty resolution range\n"), flag
+
+
+def test_engine_self_check_exit_5(capsys, monkeypatch):
+    # A resolver bug caught by its own exactness check is not bad input.
+    real = f2linalg.relations
+
+    def lossy(rows, width):
+        sub = real(rows, width)
+        return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
+
+    monkeypatch.delenv("HCM_CACHE_DIR", raising=False)
+    monkeypatch.setattr(f2linalg, "relations", lossy)
+    code, out, err = run(capsys, "ext", "--module", "builtin:sphere", "--max-s", "4",
+                         "--max-t", "12")
+    assert code == 5 and out == ""
+    assert err.startswith("error: resolution not exact") and "Traceback" not in err
 
 
 def test_ext_svg(capsys):

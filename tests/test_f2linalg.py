@@ -222,3 +222,22 @@ def test_transpose_involution():
         assert (t.rows, t.cols) == (cols, rows)
         entries = to_lists(m)
         assert to_lists(t) == [[entries[i][j] for i in range(rows)] for j in range(cols)]
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, random.Random(0))
+@example(5, 0, random.Random(0))
+def test_relations_and_rank_match_a_full_rref(nrows, width, rng):
+    # about a quarter of the rows are zero, so relations are common
+    rows = [rng.getrandbits(width) if rng.random() < 0.75 else 0 for _ in range(nrows)]
+    # relations: the rows of the full RREF of [rows | I] that pivot in the identity block
+    aug = [[(r >> j) & 1 for j in range(width)] + [int(i == k) for k in range(nrows)]
+           for i, r in enumerate(rows)]
+    red, pivots = naive_rref(aug, width + nrows)
+    want = tuple(sum(b << j for j, b in enumerate(row[width:]))
+                 for row, p in zip(red, pivots) if p >= width)
+    got = f2.relations(rows, width)
+    assert got.basis == want and got.ambient_dim == nrows
+    m = f2.F2Matrix(nrows, width, tuple(rows))
+    assert f2.rank(m) == len(f2.rref(m)[1]) == nrows - len(want)

@@ -12,13 +12,16 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcm import classify
 from hcm import extpower as ep
 from hcm import f2linalg
 from hcm import resolution as rs
 from hcm import stmodule as sm
-from hcm.errors import ContractViolationError, RefusalError
+from hcm import steenrod
+from hcm.errors import InternalError, RefusalError
 from hcm.groups import AbelianGroup
 
 # -- independent oracle -------------------------------------------------------
@@ -488,7 +491,7 @@ def test_exactness_check_catches_a_missing_generator(monkeypatch):
         return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
 
     monkeypatch.setattr(f2linalg, "relations", lossy)
-    with pytest.raises(ContractViolationError, match="not exact"):
+    with pytest.raises(InternalError, match="not exact"):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
 
 
@@ -508,6 +511,23 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
     assert len(calls) == len(gaining) == 37
 
 
+def test_full_elimination_only_where_a_generator_is_missing(monkeypatch):
+    # Elsewhere a forward-only rank count is enough, and relations
+    # back-substitutes only its identity block, so the back-substituting
+    # rref runs only inside span where generators are added.  The
+    # unconditional span at every bidegree made 181 calls here.
+    real = f2linalg.rref
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(f2linalg, "rref", counted)
+    rs.minimal_resolution(sm.sphere_module(20), 6, 20)
+    assert len(calls) == 76
+
+
 def test_relations_outside_the_kernel_are_caught(monkeypatch):
     # A "kernel" that is the whole ambient space yields generators whose
     # differential is not a cycle; stopping early at the kernel's
@@ -516,5 +536,39 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch):
         return f2linalg.Subspace(tuple(1 << i for i in range(len(rows))), len(rows))
 
     monkeypatch.setattr(f2linalg, "relations", everything)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(InternalError):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       st.integers(1, 9), st.integers(0, 12), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
+    # Oracle: each basis element is a (generator, monomial) pair at a
+    # position that the layout convention fixes (generators in order, each
+    # with steenrod.basis of its relative degree), and Sq^i acts through
+    # monomial_product, with no mask table involved.
+    degrees, top = sorted(degrees), 21
+    stage = rs._Stage(lambda i, d, vec: 0)
+    for t in range(top + 1):
+        stage.extend(t)
+        for gt in degrees:
+            if gt == t:
+                stage.add_generator(0, t, 0, "g")
+    pos = {}
+    for t in range(top + 1):
+        keys = [(gi, mon) for gi, gt in enumerate(degrees) if gt <= t
+                for mon in steenrod.basis(t - gt)]
+        pos[t] = {key: p for p, key in enumerate(keys)}
+        assert stage.dim(t) == len(keys)
+    at = {p: key for key, p in pos[d].items()}
+    vec = rng.getrandbits(stage.dim(d))
+    want = 0
+    for b in range(stage.dim(d)):
+        if (vec >> b) & 1:
+            gi, mon = at[b]
+            for m2 in steenrod.monomial_product((i,), mon).terms:
+                want ^= 1 << pos[d + i][(gi, m2)]
+    assert stage.sq(i, d, vec) == want
+    with pytest.raises(InternalError, match="out of range"):
+        stage.sq(1, top, 1)

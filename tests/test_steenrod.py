@@ -148,3 +148,21 @@ def test_str_forms():
     assert str(SqSum.zero()) == "0"
     assert str(SqSum.unit()) == "1"
     assert str(SqSum.of(3, 1)) == "Sq3Sq1"
+
+
+def test_sq_masks_match_left_multiplication():
+    # Each mask is Sq^i on basis(d), read through basis(d + i) position by position.
+    for d in range(0, 24):
+        for i in range(1, 25 - d):
+            target = sq.basis(d + i)
+            masks = sq.sq_masks(i, d)
+            assert len(masks) == len(sq.basis(d))
+            for mon, mask in zip(sq.basis(d), masks):
+                hit = {target[p] for p in range(len(target)) if (mask >> p) & 1}
+                assert hit == set(sq._left_mul(i, mon)), (i, mon)
+
+
+def test_first_letters_split_each_monomial():
+    for deg in range(1, 25):
+        for mon, (i, j) in zip(sq.basis(deg), sq.first_letters(deg)):
+            assert (i,) + sq.basis(deg - i)[j] == mon
