@@ -27,8 +27,11 @@ MASSEY_NOTE = "<h1, h0, bottom square> = h1·Q1 on the quadratic chart of an odd
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -251,14 +254,19 @@ def cmd_bounds_check(args) -> int:
     return 0
 
 
+# the one n whose inertia group each invariant flag decides
+_INVARIANT_FLAGS = (("p1", "--p1", 4), ("p2", "--p2", 8), ("normal_h", "--normal-h", 9))
+
+
 def cmd_classify(args) -> int:
     invariant = None
-    if args.p1 is not None:
-        invariant = args.p1
-    elif args.p2 is not None:
-        invariant = args.p2
-    elif args.normal_h is not None:
-        invariant = args.normal_h
+    for attr, flag, n in _INVARIANT_FLAGS:
+        value = getattr(args, attr)
+        if value is None:
+            continue
+        if args.n != n:
+            raise InputError(f"{flag} applies only to n = {n}, not n = {args.n}")
+        invariant = value
     result = classify.classification_result(args.n, invariant)
     if args.json:
         _emit_json(args, result.to_json())

@@ -61,8 +61,13 @@ class F2Matrix:
         return F2Matrix(self.cols, self.rows, tuple(cols))
 
 
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Forward elimination: pivot column -> a row whose lowest set bit it is."""
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination: pivot column -> a row whose lowest set bit it is.
+
+    A row is reduced only until its lowest bit lands in a free column, so
+    the rows are not reduced against each other; ``reduce`` still gives
+    the canonical representative modulo their span.
+    """
     piv: dict[int, int] = {}
     for row in rows:
         while row:
@@ -73,6 +78,25 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
                 break
             row ^= other
     return piv
+
+
+def reduce(piv: dict[int, int], v: int) -> int:
+    """Canonical representative of v modulo the span of the rows in ``piv``.
+
+    v's bits are walked upwards; a pivot bit is cleared by its row, which
+    touches only higher bits.  The result has no bit in a pivot column,
+    which makes it unique in its coset, whether or not ``piv`` is reduced.
+    """
+    out = 0
+    while v:
+        low = v & -v
+        row = piv.get(low.bit_length() - 1)
+        if row is None:
+            out |= low
+            v ^= low
+        else:
+            v ^= row
+    return out
 
 
 def _back_substitute(piv: dict[int, int], cols: list[int]) -> list[int]:
@@ -98,29 +122,11 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     column.  A final back-substitution clears pivot columns everywhere,
     so the result is the (unique) RREF; the row space is preserved.
     """
-    piv = _echelon(m.data)
+    piv = echelon(m.data)
     cols = sorted(piv)
     out_rows = _back_substitute(piv, cols)
     out_rows.extend([0] * (m.rows - len(out_rows)))
     return F2Matrix(m.rows, m.cols, tuple(out_rows)), tuple(cols)
-
-
-def rank(m: F2Matrix) -> int:
-    """Number of pivots, by forward elimination only.
-
-    Pivots are taken at the highest set bit, which ``bit_length`` finds
-    without building a new integer; only the count is returned.
-    """
-    piv: dict[int, int] = {}
-    for row in m.data:
-        while row:
-            c = row.bit_length()
-            other = piv.get(c)
-            if other is None:
-                piv[c] = row
-                break
-            row ^= other
-    return len(piv)
 
 
 @dataclass(frozen=True)
@@ -128,16 +134,16 @@ class Subspace:
     """A subspace of GF(2)^ambient_dim, basis in reduced echelon form.
 
     Basis vectors are bit-packed, linearly independent, and listed in
-    strictly increasing pivot order; ``pivots[i]`` is the lowest set bit
-    of ``basis[i]``.
+    strictly increasing pivot order; ``piv`` maps each pivot, the lowest
+    set bit of a basis vector, to that vector, in the same order.
     """
 
     basis: tuple[int, ...]
     ambient_dim: int
-    pivots: tuple[int, ...] = field(init=False, compare=False)
+    piv: dict[int, int] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pivots", tuple(_low_bit(b) for b in self.basis))
+        object.__setattr__(self, "piv", {_low_bit(b): b for b in self.basis})
 
     @property
     def dim(self) -> int:
@@ -145,10 +151,7 @@ class Subspace:
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo this subspace."""
-        for b, p in zip(self.basis, self.pivots):
-            if (v >> p) & 1:
-                v ^= b
-        return v
+        return reduce(self.piv, v)
 
 
 def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
@@ -167,7 +170,7 @@ def relations(rows: Sequence[int], width: int) -> Subspace:
     down by ``width``, they are the unique reduced echelon basis of the
     relations.
     """
-    piv = _echelon(r | 1 << (width + i) for i, r in enumerate(rows))
+    piv = echelon(r | 1 << (width + i) for i, r in enumerate(rows))
     cols = sorted(c for c in piv if c >= width)
     return Subspace(tuple(row >> width for row in _back_substitute(piv, cols)), len(rows))
 

@@ -3,13 +3,16 @@
 The resolution is built degree by degree and decides by rank first.
 Each stage records the rank of its image at every degree, so the kernel
 of the previous differential has a known dimension (previous stage's
-dimension minus that rank) before any kernel is computed.  Where the
-image of the decomposables already has that dimension, counted by
-forward elimination only, no generator is missing and neither a reduced
-span nor a kernel is computed.  Elsewhere the kernel is read off
+dimension minus that rank) before any kernel is computed.  The image of
+the decomposables at each bidegree is eliminated once, forward only,
+into a pivot table (``f2linalg.echelon``) whose size is its rank.
+Where that rank is already the kernel's dimension, no generator is
+missing and no kernel is computed.  Elsewhere the kernel is read off
 one elimination of ``[image | identity]`` (Bruner, "Calculation of
-large Ext modules", 1989), and new free generators are added for the
-part of it not yet reached, until the image has the kernel's
+large Ext modules", 1989); each kernel vector is reduced against the
+table to its canonical representative (no bit in a pivot column), and
+a nonzero one becomes a new free generator's differential and joins
+the table at its lowest bit, until the image has the kernel's
 dimension; the result is minimal (no unit entries) by construction.
 Generators are ordered by degree and then by kernel pivot, which pins
 labels and makes repeated runs identical.  Exactness is proved at
@@ -47,7 +50,7 @@ from typing import Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import InternalError, RangeError, RefusalError
-from .f2linalg import _bits
+from .f2linalg import _bits, _low_bit
 from .groups import AbelianGroup
 from .steenrod import SqSum
 from .stmodule import GradedModule
@@ -147,10 +150,14 @@ class _Stage:
         self.keys[t].append((gi, 0, 0))
         self.img[t].append(dvec)
 
-    def monomial(self, t: int, b: int) -> tuple[int, tuple]:
-        """Generator and Steenrod monomial of basis element b in degree t."""
-        g, e, k = self.keys[t][b]
-        return g, steenrod.basis(e)[k]
+    def entries(self, t: int, vec: int) -> dict[int, list[tuple]]:
+        """A degree-t vector as generator -> its Steenrod monomials, in basis order."""
+        out: dict[int, list[tuple]] = {}
+        keys = self.keys[t]
+        for b in _bits(vec):
+            g, e, k = keys[b]
+            out.setdefault(g, []).append(steenrod.basis(e)[k])
+        return out
 
 
 _H_LABEL = re.compile(r"^h(\d+)(?:\^(\d+))?·(.+)$")
@@ -188,19 +195,20 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         dim = m.dim(t)
         if dim == 0:
             continue
-        got = _rank(st0.img[t], dim)
+        got = len(f2linalg.echelon(st0.img[t]))
         if got < dim:
+            # The reduced basis names each new generator by its coset.
             sub = f2linalg.span(st0.img[t], dim)
             for f in range(dim):
-                if f in sub.pivots:
+                if f in sub.piv:
                     continue
                 phi = 1 << f
-                for b, p in zip(sub.basis, sub.pivots):
+                for p, b in sub.piv.items():
                     if (b >> f) & 1:
                         phi |= 1 << p
                 st0.add_generator(0, t, 1 << f, m.element_name(t, phi))
             # The augmentation must be onto; count afresh, not from the choice above.
-            got = _rank(st0.img[t], dim)
+            got = len(f2linalg.echelon(st0.img[t]))
         _check_exact(0, t, got, dim)
         st0.rank[t] = dim
 
@@ -215,38 +223,31 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                 continue
             # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
             want = nprev - prev.rank.get(t, 0)
-            got = _rank(cur.img[t], nprev)
-            if got < want:
-                covered = f2linalg.span(cur.img[t], nprev)
+            piv = f2linalg.echelon(cur.img[t])
+            if len(piv) < want:
                 # prev.img[t] lives in prev's target, the module or stage s - 2.
                 width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
                 ordinal = 0
                 for kv in f2linalg.relations(prev.img[t], width).basis:
-                    red = covered.reduce(kv)
+                    red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
-                    label = _label_for(s, t, red, prev, st0, m, ordinal)
+                    cur.add_generator(s, t, red, _label_for(s, t, red, prev, st0, m, ordinal))
                     ordinal += 1
-                    cur.add_generator(s, t, red, label)
-                    covered = f2linalg.span(covered.basis + (red,), nprev)
-                    if covered.dim == want:
+                    piv[_low_bit(red)] = red
+                    if len(piv) == want:
                         break  # every later kernel vector reduces to 0
-                got = covered.dim
-            _check_exact(s, t, got, want)
-            cur.rank[t] = got
+            _check_exact(s, t, len(piv), want)
+            cur.rank[t] = len(piv)
         prev.img = {}  # only stage s's images are read from here on
 
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
         prev = stages[s - 1]
         for g, vec in zip(stages[s].gens, stages[s].dvec):
-            entries: dict[int, set] = {}
-            for b in _bits(vec):
-                tg, mon = prev.monomial(g.t, b)
-                entries.setdefault(tg, set()).add(mon)
             diffs[s][g.index] = tuple(
                 (tg, SqSum(tuple(sorted(mons, reverse=True))))
-                for tg, mons in sorted(entries.items()))
+                for tg, mons in sorted(prev.entries(g.t, vec).items()))
 
     mins = []
     for s in range(max_s + 1):
@@ -264,10 +265,6 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     return res
 
 
-def _rank(rows: list[int], width: int) -> int:
-    return f2linalg.rank(f2linalg.F2Matrix(len(rows), width, tuple(rows)))
-
-
 def _check_exact(s: int, t: int, got: int, want: int):
     """Raise unless the image at (s, t) has the dimension exactness needs.
 
@@ -283,10 +280,7 @@ def _check_exact(s: int, t: int, got: int, want: int):
 
 def _label_for(s: int, t: int, dvec: int, prev: _Stage, st0: _Stage,
                m: GradedModule, ordinal: int) -> str:
-    entries: dict[int, list[tuple]] = {}
-    for b in _bits(dvec):
-        g, mon = prev.monomial(t, b)
-        entries.setdefault(g, []).append(mon)
+    entries = prev.entries(t, dvec)
     # Rule 1: an h_k edge (a bare Sq^{2^k} entry); take the earliest source.
     best = None
     for g in sorted(entries):

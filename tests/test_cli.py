@@ -102,6 +102,15 @@ def test_ext_out_file(tmp_path, capsys):
     assert "Q0(y15)" in target.read_text(encoding="utf-8")
 
 
+def test_out_to_an_unwritable_path_exit_2(tmp_path, capsys):
+    # A missing directory and a path that is a directory: one typed error
+    # that names the path, no traceback, nothing on stdout.
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, "--out", str(target), "bar-e1", "--n", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err and err.count("\n") == 1
+
+
 def test_d2_command(capsys):
     code, out, _ = run(capsys, "d2", "--module", "builtin:o", "--n", "17")
     assert code == 0
@@ -162,6 +171,23 @@ def test_classify_output(capsys):
     code, payload, _ = run_json(capsys, "classify", "--n", "63")
     assert code == 0 and "open" in payload["status"]
     assert payload["citations"]
+
+
+def test_classify_invariant_flag_only_for_its_n(capsys):
+    # --p1 decides n = 4, --p2 n = 8 and --normal-h n = 9; a flag given
+    # with any other n is bad input, never read as another n's invariant.
+    for argv in (["--n", "8", "--p1", "7"], ["--n", "4", "--p1", "8", "--p2", "3"],
+                 ["--n", "5", "--p2", "7"], ["--n", "4", "--normal-h", "0"],
+                 ["--n", "9", "--p1", "8", "--normal-h", "1"]):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    for argv, inertia in ((["--n", "4", "--p1", "8"], "I(M) = 0 "),
+                          (["--n", "4", "--p1", "4"], "I(M) = Z/2"),
+                          (["--n", "8", "--p2", "7"], "I(M) = Z/2"),
+                          (["--n", "9", "--normal-h", "0"], "I(M) = 0 ")):
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 0 and inertia in out, argv
 
 
 def test_classify_citations_always_present(capsys):

@@ -141,7 +141,7 @@ def test_kernel_vectors_annihilate():
         # reduced echelon: pivots (lowest set bits) strictly increase and
         # each pivot column is a unit column
         pivots = [(v & -v).bit_length() - 1 for v in ker.basis]
-        assert ker.pivots == tuple(pivots)
+        assert tuple(ker.piv) == tuple(pivots)
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
         for i, p in enumerate(pivots):
             assert [(v >> p) & 1 for v in ker.basis] == [int(j == i) for j in range(ker.dim)]
@@ -156,8 +156,9 @@ def test_rank_nullity(rows, cols, rng):
     # about a quarter of the rows are zero; 0 x n and n x 0 shapes included
     m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) if rng.random() < 0.75 else 0
                                       for _ in range(rows)))
-    assert f2.rank(m) + f2.kernel(m).dim == cols
-    assert f2.rank(m) == len(f2.rref(m)[1])
+    rank = len(f2.echelon(m.data))
+    assert rank + f2.kernel(m).dim == cols
+    assert rank == len(f2.rref(m)[1])
 
 
 def test_rank_invariant_under_permutation():
@@ -166,8 +167,11 @@ def test_rank_invariant_under_permutation():
         m = f2.F2Matrix(7, 7, tuple(rng.getrandbits(7) for _ in range(7)))
         rows = list(m.data)
         rng.shuffle(rows)
-        assert f2.rank(f2.F2Matrix(7, 7, tuple(rows))) == f2.rank(m)
-        assert f2.rank(m.transpose()) == f2.rank(m)
+        i, j = rng.sample(range(7), 2)
+        rows[i] ^= rows[j]  # an elementary row operation
+        rank = len(f2.echelon(m.data))
+        assert len(f2.echelon(rows)) == rank
+        assert len(f2.echelon(m.transpose().data)) == rank
 
 
 def test_solve_identity():
@@ -240,4 +244,29 @@ def test_relations_and_rank_match_a_full_rref(nrows, width, rng):
     got = f2.relations(rows, width)
     assert got.basis == want and got.ambient_dim == nrows
     m = f2.F2Matrix(nrows, width, tuple(rows))
-    assert f2.rank(m) == len(f2.rref(m)[1]) == nrows - len(want)
+    assert len(f2.echelon(rows)) == len(f2.rref(m)[1]) == nrows - len(want)
+
+
+@given(st.integers(0, 24), st.integers(0, 24), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, random.Random(0))
+@example(4, 0, random.Random(0))
+def test_echelon_reduce_matches_the_reduced_span(nrows, width, rng):
+    # about a quarter of the rows are zero, so dependent rows are common
+    rows = [rng.getrandbits(width) if rng.random() < 0.75 else 0 for _ in range(nrows)]
+    piv = f2.echelon(rows)
+    sub = f2.span(rows, width)
+    assert len(piv) == len(f2.rref(f2.F2Matrix(nrows, width, tuple(rows)))[1])
+    for _ in range(8):
+        v = rng.getrandbits(width)
+        red = f2.reduce(piv, v)
+        assert red == sub.reduce(v)
+        assert all(not (red >> c) & 1 for c in piv)
+        assert len(f2.echelon(rows + [red ^ v])) == len(piv)  # same coset as v
+        # a nonzero representative joins the table at its lowest bit, as the
+        # resolver grows it; the table then spans rows + [v]
+        if red:
+            piv[(red & -red).bit_length() - 1] = red
+            rows.append(v)
+            sub = f2.span(rows, width)
+            assert len(piv) == sub.dim
