@@ -20,6 +20,9 @@ every bidegree: stage 0 must cover the module (its own rank count),
 and each later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
+``verify`` expands d.d through cached Adem products of whole sums
+(``steenrod.product``) and reads none of the tables below, so a wrong
+mask table cannot vouch for itself.
 Every stage is the same kind of object, a free module whose generators
 map into a target; it acts on that target through one function, the
 module's action at stage 0 and the previous stage's Sq action after
@@ -307,7 +310,12 @@ def _label_for(s: int, t: int, dvec: int, prev: _Stage, st0: _Stage,
 
 
 def verify(res: FreeResolution) -> list[str]:
-    """Minimality (no unit entries) and d.d = 0 by full Steenrod expansion."""
+    """Minimality (no unit entries) and d.d = 0 by full Steenrod expansion.
+
+    Each pair of composed entries is multiplied as sums by
+    ``steenrod.product``, which straightens by the Adem relations; the
+    resolver's ``sq_masks`` and ``first_letters`` tables are never read.
+    """
     problems = []
     for s in range(1, res.max_s + 1):
         for i, entries in res.diff[s].items():
@@ -317,14 +325,11 @@ def verify(res: FreeResolution) -> list[str]:
     # d(d(g)) expanded through Steenrod products, collected per target generator.
     for s in range(2, res.max_s + 1):
         for i, entries in res.diff[s].items():
-            acc: dict[tuple[int, tuple], int] = {}
+            acc: dict[int, set] = {}
             for j, sq in entries:
                 for j2, sq2 in res.diff[s - 1].get(j, ()):
-                    for ma in sq.terms:
-                        for mb in sq2.terms:
-                            for mon in steenrod.monomial_product(ma, mb).terms:
-                                key = (j2, mon)
-                                acc[key] = acc.get(key, 0) ^ 1
+                    acc.setdefault(j2, set()).symmetric_difference_update(
+                        steenrod.product(sq, sq2).terms)
             if any(acc.values()):
                 problems.append(f"d.d != 0 at stage {s}, generator {i}")
     for i, entries in res.diff[1].items() if res.max_s >= 1 else ():

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ContractViolationError
+from .f2linalg import _bits
 
 SqMonomial = tuple  # tuple[int, ...]; the empty tuple is the unit
 
@@ -153,12 +154,16 @@ def adem_reduce(word: Sequence[int]) -> SqSum:
     return SqSum(tuple(sorted(_apply(tuple(word), ((),)), reverse=True)))
 
 
+@lru_cache(maxsize=None)
 def product(a: SqSum, b: SqSum) -> SqSum:
-    """Concatenate-and-reduce product, bilinear over GF(2)."""
+    """Concatenate-and-reduce product, bilinear over GF(2).
+
+    Each left monomial is applied to the whole right sum at once, and
+    the result is cached per pair of sums.
+    """
     acc: set[SqMonomial] = set()
     for ma in a.terms:
-        for mb in b.terms:
-            acc.symmetric_difference_update(monomial_product(ma, mb).terms)
+        acc.symmetric_difference_update(_apply(ma, b.terms))
     return SqSum(tuple(sorted(acc, reverse=True)))
 
 
@@ -196,10 +201,30 @@ def sq_masks(i: int, d: int) -> tuple[int, ...]:
     """Sq^i (i >= 1) on ``basis(d)`` as bitmasks over ``basis(d + i)``.
 
     Bit p of entry k is set when ``basis(d + i)[p]`` occurs in the
-    admissible expansion of Sq^i times ``basis(d)[k]``.
+    admissible expansion of Sq^i times ``basis(d)[k]``.  Rows follow the
+    Adem relations on bitmasks: with ``basis(d)[k]`` split as Sq^a rest,
+    Sq^i Sq^a rest is admissible when i >= 2a, and otherwise the sum,
+    over the c <= i/2 with C(a-c-1, i-2c) odd, of Sq^{i+a-c} applied to
+    Sq^c rest.  Every row read on the right sits in a degree below d, so
+    the recursion ends.
     """
-    pos = {mon: p for p, mon in enumerate(basis(d + i))}
-    return tuple(sum(1 << pos[m] for m in _left_mul(i, mon)) for mon in basis(d))
+    # Position in basis(d + i) of each admissible Sq^j rest', keyed (j, rest' index).
+    pos = {key: p for p, key in enumerate(first_letters(d + i))}
+    if d == 0:
+        return (1 << pos[(i, 0)],)
+    rows = []
+    for k, (a, r) in enumerate(first_letters(d)):
+        if i >= 2 * a:
+            rows.append(1 << pos[(i, k)])
+            continue
+        row = 0
+        for c in range(i // 2 + 1):
+            if choose_mod2(a - c - 1, i - 2 * c):
+                head = sq_masks(i + a - c, d - a + c)
+                for b in _bits(sq_masks(c, d - a)[r] if c else 1 << r):
+                    row ^= head[b]
+        rows.append(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

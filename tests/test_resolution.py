@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from hcm import stmodule as sm
 from hcm import steenrod
 from hcm.errors import InternalError, RefusalError
 from hcm.groups import AbelianGroup
+from hcm.steenrod import SqSum
 
 # -- independent oracle -------------------------------------------------------
 
@@ -254,6 +256,37 @@ def test_verify_on_produced_resolutions():
             for i, entries in res.diff[s].items():
                 for _, sqsum in entries:
                     assert all(mon != () for mon in sqsum.terms)
+
+
+def test_verify_reads_no_mask_table(monkeypatch):
+    # verify expands d.d through Adem products of sums, so it stays an
+    # independent check of the table-driven action that built the resolution.
+    res = rs.minimal_resolution(sm.sphere_module(14), 5, 14)
+
+    def forbidden(*args):
+        raise AssertionError("verify read a resolver table")
+
+    monkeypatch.setattr(steenrod, "sq_masks", forbidden)
+    monkeypatch.setattr(steenrod, "first_letters", forbidden)
+    steenrod.product.cache_clear()
+    assert rs.verify(res) == []
+
+
+def test_verify_catches_a_changed_differential_entry():
+    # h2^2 maps by Sq4 + Sq3Sq1 onto h2; Sq4 alone has the same degree
+    # and no unit term, but then d.d picks up Sq3Sq1 Sq4 = Sq7Sq1 != 0,
+    # and the stage-3 generator h3·h1^2, which maps onto h2^2, breaks too.
+    res = rs.minimal_resolution(sm.sphere_module(14), 5, 14)
+    g = res.stages[2][3]
+    assert g.label == "h2^2·x0"
+    entries = dict(res.diff[2][g.index])
+    assert entries[2] == SqSum.from_terms([(4,), (3, 1)])
+    entries[2] = SqSum.of(4)
+    diff2 = dict(res.diff[2])
+    diff2[g.index] = tuple(sorted(entries.items()))
+    bad = replace(res, diff=res.diff[:2] + (diff2,) + res.diff[3:])
+    assert rs.verify(bad) == [f"d.d != 0 at stage 2, generator {g.index}",
+                              "d.d != 0 at stage 3, generator 4"]
 
 
 def test_determinism():

@@ -128,6 +128,27 @@ def test_product_bilinear():
     assert a * b == SqSum.of(3) * b + SqSum.of(2, 1) * b
 
 
+sq_sums = st.integers(0, 12).flatmap(
+    lambda d: st.lists(st.sampled_from(sq.basis(d)), unique=True).map(SqSum.from_terms))
+
+
+@given(sq_sums, sq_sums)
+@settings(max_examples=150, deadline=None)
+def test_product_matches_monomial_products(a, b):
+    # Oracle: the pairwise path, one monomial product per pair of terms.
+    def pairwise(x, y):
+        acc = set()
+        for ma in x.terms:
+            for mb in y.terms:
+                acc.symmetric_difference_update(sq.monomial_product(ma, mb).terms)
+        return SqSum.from_terms(acc)
+
+    assert sq.product(a, b) == pairwise(a, b)
+    unit = SqSum.unit()
+    assert sq.product(unit, b) == pairwise(unit, b) == b
+    assert sq.product(a, unit) == pairwise(a, unit) == a
+
+
 def test_sqsum_canonical_form_enforced():
     with pytest.raises(ContractViolationError):
         SqSum(((1,), (3,)))  # mixed degrees
@@ -151,9 +172,11 @@ def test_str_forms():
 
 
 def test_sq_masks_match_left_multiplication():
-    # Each mask is Sq^i on basis(d), read through basis(d + i) position by position.
-    for d in range(0, 24):
-        for i in range(1, 25 - d):
+    # Each mask is Sq^i on basis(d), read through basis(d + i) position by
+    # position; the masks come from their own bitmask recursion, so the
+    # frozenset Adem straightening is an independent oracle.
+    for d in range(0, 32):
+        for i in range(1, 33 - d):
             target = sq.basis(d + i)
             masks = sq.sq_masks(i, d)
             assert len(masks) == len(sq.basis(d))
