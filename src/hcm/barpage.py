@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import extpower, resolution
-from .errors import ContractViolationError, RangeError, UnsupportedError
+from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError
 from .groups import AbelianGroup
 
 # 2-complete connective real K-theory homotopy, one period.
@@ -151,10 +151,10 @@ def e1_page(n: int) -> E1Page:
     )
     for got, want in checks:
         if got != want:
-            raise ContractViolationError(
+            raise InternalError(
                 f"computed summand {got} disagrees with the known row {want} (n={n})")
     if any(t != 2 for t in d2_high.torsion) or d2_high.free_rank:
-        raise ContractViolationError("quadratic summand of pi_2n must be simple 2-torsion")
+        raise InternalError("quadratic summand of pi_2n must be simple 2-torsion")
 
     def cyclics(g: AbelianGroup, source: str) -> list[Summand]:
         return [Summand(source, AbelianGroup.cyclic(t)) for t in g.torsion]

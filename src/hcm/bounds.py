@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ContractViolationError, RangeError, UnsupportedError
+from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError
 
 # Count of 0 < s <= r with s mod 8 in {0,1,2,4}, for r = 0..7.
 _PARTIAL = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -296,7 +296,7 @@ def threshold_scan(case: str, horizon: int = 4096) -> ScanResult:
             n0 += 1
     for n in admissible:
         if n >= n0 and not sc.passes(n):
-            raise ContractViolationError(f"scan not monotone at n = {n}")
+            raise InternalError(f"scan not monotone at n = {n}")
 
     # Dominance: across one 8-block the lhs gains 2*4 from h and loses at
     # most 2 from one floor-log step, the rhs gains 16/5; so positive
@@ -346,7 +346,7 @@ def exceptional_filtrations() -> dict[int, FiltrationFact]:
     for n, (quoted, formula, cite) in _QUOTED_FILTRATIONS.items():
         value = _FORMULAS[formula](n)
         if value != quoted:
-            raise ContractViolationError(
+            raise InternalError(
                 f"derived filtration {value} for n={n} disagrees with quoted {quoted}")
         out[n] = FiltrationFact(n, value, formula, cite)
     return out

@@ -235,7 +235,11 @@ def cmd_bounds_scan(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
-    report = bounds.check_af_j(args.k, Fraction(args.s), args.l)
+    try:
+        s = Fraction(args.s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--s must be a rational number such as 5/2, got {args.s!r}") from None
+    report = bounds.check_af_j(args.k, s, args.l)
     if args.json:
         _emit_json(args, {
             "k": report.k, "s": str(report.s), "l": report.l,

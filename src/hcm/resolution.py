@@ -48,6 +48,7 @@ Group assembly refuses anything these facts cannot certify.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -99,67 +100,64 @@ class _Stage:
 
     ``act(i, d, vec)`` applies Sq^i to a degree-d vector of the target:
     the module's action at stage 0, the previous stage's ``sq`` after.
-    Degree t is laid out as ``keys[t]``, one ``(generator, relative
-    degree e, k)`` key per basis element ``steenrod.basis(e)[k]`` on that
-    generator, each generator's elements in one block that starts at
-    ``offset[t][generator]``.  ``img[t]`` holds the image of every
-    degree-t basis element; it is emptied once the next stage is done.
+    Degree t holds one block per generator g laid out there, in generator
+    order: the elements of ``steenrod.basis(t - g.t)`` on g, starting at
+    ``offset[t][g]``.  The list ends with the degree's dimension, so a
+    bit's generator is found by bisecting the block starts.  ``img[t]``
+    holds the image of every degree-t basis element; it is emptied once
+    the next stage is done.
     """
 
     def __init__(self, act):
         self.act = act
         self.gens: list[Generator] = []
         self.dvec: list[int] = []  # differential/augmentation vectors
-        self.keys: dict[int, list[tuple[int, int, int]]] = {}
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
         self.rank: dict[int, int] = {}  # dim of the span of img[t]
 
     def dim(self, t: int) -> int:
-        return len(self.keys.get(t, ()))
+        return self.offset.get(t, (0,))[-1]
 
     def sq(self, i: int, d: int, vec: int) -> int:
         """Left-multiply a degree-d vector of this free module by Sq^i."""
-        off = self.offset.get(d + i)
-        if off is None:
+        top = self.offset.get(d + i)
+        if top is None:
             raise InternalError("free module basis out of range")
-        keys, masks = self.keys[d], steenrod.sq_masks
-        out = 0
+        off, gens, masks = self.offset[d], self.gens, steenrod.sq_masks
+        out = hi = 0
         for b in _bits(vec):
-            g, e, k = keys[b]
-            out ^= masks(i, e)[k] << off[g]
+            if b >= hi:  # the first bit in a new generator's block
+                g = bisect_right(off, b) - 1
+                lo, hi, rows, shift = off[g], off[g + 1], masks(i, d - gens[g].t), top[g]
+            out ^= rows[b - lo] << shift
         return out
 
     def extend(self, t: int):
         """Lay out degree t for the generators present so far."""
-        if t in self.keys:
+        if t in self.offset:
             return
-        keys, offset, img = [], [], []
-        self.keys[t], self.offset[t], self.img[t] = keys, offset, img
+        offset, img = [0], []
+        self.offset[t], self.img[t] = offset, img
         for gi, g in enumerate(self.gens):
-            e = t - g.t
-            offset.append(len(keys))
             # The image of Sq^i rest is Sq^i applied to the image of rest.
-            for k, (i, j) in enumerate(steenrod.first_letters(e)):
-                keys.append((gi, e, k))
+            for i, j in steenrod.first_letters(t - g.t):
                 img.append(self.act(i, t - i, self.img[t - i][self.offset[t - i][gi] + j]))
+            offset.append(len(img))
 
     def add_generator(self, s: int, t: int, dvec: int, label: str):
         """Add a generator in degree t; only its unit element joins degree t."""
-        gi = len(self.gens)
-        self.gens.append(Generator(s, t, gi, label))
+        self.gens.append(Generator(s, t, len(self.gens), label))
         self.dvec.append(dvec)
-        self.offset[t].append(len(self.keys[t]))
-        self.keys[t].append((gi, 0, 0))
+        self.offset[t].append(self.offset[t][-1] + 1)
         self.img[t].append(dvec)
 
     def entries(self, t: int, vec: int) -> dict[int, list[tuple]]:
         """A degree-t vector as generator -> its Steenrod monomials, in basis order."""
-        out: dict[int, list[tuple]] = {}
-        keys = self.keys[t]
+        off, out = self.offset[t], {}
         for b in _bits(vec):
-            g, e, k = keys[b]
-            out.setdefault(g, []).append(steenrod.basis(e)[k])
+            g = bisect_right(off, b) - 1
+            out.setdefault(g, []).append(steenrod.basis(t - self.gens[g].t)[b - off[g]])
         return out
 
 
@@ -369,14 +367,6 @@ class ExtChart:
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
-
-    def label(self, s: int, t: int, i: int) -> str:
-        return self.labels.get((s, t), ())[i]
-
-    def classes(self):
-        for (s, t), d in sorted(self.dims.items()):
-            for i in range(d):
-                yield s, t, i
 
     def stem_complete(self, stem: int) -> bool:
         """True when no class in this stem can sit outside the computed rectangle.

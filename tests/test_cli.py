@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hcm import cli, f2linalg, render, resolution as rs, stmodule as sm
+from hcm import barpage, cli, f2linalg, render, resolution as rs, stmodule as sm
 
 
 def run(capsys, *argv):
@@ -72,20 +72,32 @@ def test_ext_empty_sphere_range_exit_3(capsys):
         assert (code, out, err) == (3, "", "error: empty resolution range\n"), flag
 
 
-def test_engine_self_check_exit_5(capsys, monkeypatch):
-    # A resolver bug caught by its own exactness check is not bad input.
+def _drop_a_relation(monkeypatch):
     real = f2linalg.relations
 
     def lossy(rows, width):
         sub = real(rows, width)
         return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
 
-    monkeypatch.delenv("HCM_CACHE_DIR", raising=False)
     monkeypatch.setattr(f2linalg, "relations", lossy)
-    code, out, err = run(capsys, "ext", "--module", "builtin:sphere", "--max-s", "4",
-                         "--max-t", "12")
+
+
+def _corrupt_a_known_row(monkeypatch):
+    monkeypatch.setitem(barpage._EXPECTED, 0, ((2,), (2,), (2,)))
+
+
+@pytest.mark.parametrize("break_engine, argv, message", [
+    (_drop_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
+     "resolution not exact"),
+    (_corrupt_a_known_row, ("bar-e1", "--n", "16"), "computed summand"),
+], ids=["resolver", "bar-page"])
+def test_engine_self_check_exit_5(capsys, monkeypatch, break_engine, argv, message):
+    # A bug caught by the engine's own self-check is not bad input.
+    monkeypatch.delenv("HCM_CACHE_DIR", raising=False)
+    break_engine(monkeypatch)
+    code, out, err = run(capsys, *argv)
     assert code == 5 and out == ""
-    assert err.startswith("error: resolution not exact") and "Traceback" not in err
+    assert err.startswith("error: " + message) and "Traceback" not in err
 
 
 def test_ext_svg(capsys):
@@ -162,6 +174,13 @@ def test_bounds_scan(capsys):
 def test_bounds_check(capsys):
     code, out, _ = run(capsys, "bounds", "check", "--k", "52", "--s", "17", "--l", "1")
     assert code == 0 and "all conditions hold" in out
+
+
+def test_bounds_check_bad_s_exit_2(capsys):
+    for s in ("abc", "1/0"):
+        code, out, err = run(capsys, "bounds", "check", "--k", "52", "--s", s, "--l", "1")
+        assert code == 2 and out == "", s
+        assert err.startswith("error:") and repr(s) in err and err.count("\n") == 1
 
 
 def test_classify_output(capsys):

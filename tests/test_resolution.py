@@ -580,7 +580,8 @@ def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
     # Oracle: each basis element is a (generator, monomial) pair at a
     # position that the layout convention fixes (generators in order, each
     # with steenrod.basis of its relative degree), and Sq^i acts through
-    # monomial_product, with no mask table involved.
+    # monomial_product, with no mask table involved.  ``entries`` must
+    # group the same pairs by generator, in basis order.
     degrees, top = sorted(degrees), 21
     stage = rs._Stage(lambda i, d, vec: 0)
     for t in range(top + 1):
@@ -596,12 +597,14 @@ def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
         assert stage.dim(t) == len(keys)
     at = {p: key for key, p in pos[d].items()}
     vec = rng.getrandbits(stage.dim(d))
-    want = 0
+    want, groups = 0, {}
     for b in range(stage.dim(d)):
         if (vec >> b) & 1:
             gi, mon = at[b]
+            groups.setdefault(gi, []).append(mon)
             for m2 in steenrod.monomial_product((i,), mon).terms:
                 want ^= 1 << pos[d + i][(gi, m2)]
     assert stage.sq(i, d, vec) == want
+    assert stage.entries(d, vec) == groups
     with pytest.raises(InternalError, match="out of range"):
         stage.sq(1, top, 1)
