@@ -351,9 +351,3 @@ def exceptional_filtrations() -> dict[int, FiltrationFact]:
         out[n] = FiltrationFact(n, value, formula, cite)
     return out
 
-
-def exceptional_filtration(n: int) -> FiltrationFact:
-    facts = exceptional_filtrations()
-    if n not in facts:
-        raise UnsupportedError(f"n = {n} is not one of the exceptional cases")
-    return facts[n]

@@ -178,6 +178,15 @@ class ConditionalGroup:
         return "; ".join(f"{cond}: {grp}" for cond, grp in self.branches)
 
 
+# n -> (condition for I(M) = 0, divisor of the invariant, the group
+# otherwise, the note that names it); H(M) is 0 or 1, so n = 9 has none.
+_INERTIA_BRANCHES = {
+    4: ("8 | p1", 8, Z2, "= Theta_8"),
+    8: ("24 | p2", 24, Z2, "= Theta_16"),
+    9: ("H(M) = 0", None, Z8, "= bSpin_19 in Theta_18"),
+}
+
+
 def inertia_group(n: int, invariant: Optional[int] = None) -> ConditionalGroup:
     """I(M) for an (n-1)-connected 2n-manifold.
 
@@ -187,24 +196,15 @@ def inertia_group(n: int, invariant: Optional[int] = None) -> ConditionalGroup:
     """
     if n < 3:
         raise UnsupportedError("inertia groups handled for n >= 3")
-    if n not in (4, 8, 9):
+    if n not in _INERTIA_BRANCHES:
         return ConditionalGroup(AbelianGroup.ZERO, citations=("Thm 1.2",))
-    branch = {
-        4: ("8 | p1", 8, "Theta_8"),
-        8: ("24 | p2", 24, "Theta_16"),
-        9: ("H(M) = 0", None, "bSpin_19"),
-    }[n]
-    nonzero = Z8 if n == 9 else Z2
-    note = {4: "= Theta_8", 8: "= Theta_16", 9: "= bSpin_19 in Theta_18"}[n]
+    condition, divisor, nonzero, note = _INERTIA_BRANCHES[n]
     if invariant is None:
         return ConditionalGroup(
-            None, condition=branch[0],
-            branches=((branch[0], AbelianGroup.ZERO), (f"not ({branch[0]})", nonzero)),
+            None, condition=condition,
+            branches=((condition, AbelianGroup.ZERO), (f"not ({condition})", nonzero)),
             note=note, citations=("Thm 1.2",))
-    if n == 9:
-        trivial = invariant == 0
-    else:
-        trivial = invariant % branch[1] == 0
+    trivial = invariant == 0 if divisor is None else invariant % divisor == 0
     grp = AbelianGroup.ZERO if trivial else nonzero
     return ConditionalGroup(grp, note="" if trivial else note, citations=("Thm 1.2",))
 

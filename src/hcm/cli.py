@@ -140,11 +140,13 @@ def cmd_ext(args) -> int:
 
 
 def cmd_d2(args) -> int:
+    if (args.lo is None) != (args.hi is None):
+        raise InputError("give both --lo and --hi, or neither")
     base = _load_module(args.module, args.n)
     bottom = base.bottom_nonzero
     if bottom is None:
         raise InputError("cannot form the quadratic power of a zero module")
-    window = ((args.lo, args.hi) if args.lo is not None and args.hi is not None
+    window = ((args.lo, args.hi) if args.lo is not None
               else (2 * bottom, min(2 * base.hi, 3 * bottom - 1, bottom + base.hi)))
     if window[1] < window[0]:
         raise RangeError(

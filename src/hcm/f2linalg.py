@@ -160,24 +160,24 @@ def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
     return Subspace(r.data[: len(pivots)], ambient_dim)
 
 
-def relations(rows: Sequence[int], width: int) -> Subspace:
-    """{x : XOR of rows[i] over the set bits of x is 0}, in reduced echelon form.
+def relations(rows: Sequence[int], width: int) -> list[int]:
+    """{x : XOR of rows[i] over the set bits of x is 0}, as a reduced echelon basis.
 
     One forward elimination of ``[rows | identity]`` (Bruner 1989).  A
     row whose pivot lies in the identity block has no bits in the first
     ``width`` columns, so back-substituting those rows among themselves
     gives their reduced form; the other rows are left unreduced.  Shifted
     down by ``width``, they are the unique reduced echelon basis of the
-    relations.
+    relations, listed in increasing pivot order.
     """
     piv = echelon(r | 1 << (width + i) for i, r in enumerate(rows))
     cols = sorted(c for c in piv if c >= width)
-    return Subspace(tuple(row >> width for row in _back_substitute(piv, cols)), len(rows))
+    return [row >> width for row in _back_substitute(piv, cols)]
 
 
 def kernel(m: F2Matrix) -> Subspace:
     """Null space {x : m x = 0}, basis in reduced echelon form."""
-    return relations(m.transpose().data, m.rows)
+    return Subspace(tuple(relations(m.transpose().data, m.rows)), m.rows)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:

@@ -14,6 +14,10 @@ table to its canonical representative (no bit in a pivot column), and
 a nonzero one becomes a new free generator's differential and joins
 the table at its lowest bit, until the image has the kernel's
 dimension; the result is minimal (no unit entries) by construction.
+Stage 0 reads the same kind of table, over the module's decomposables:
+each column that is not a pivot becomes a generator, named by its
+coset, which ``f2linalg.reduce`` of the pivot unit vectors gives.  No
+back-substituting elimination runs outside ``relations``.
 Generators are ordered by degree and then by kernel pivot, which pins
 labels and makes repeated runs identical.  Exactness is proved at
 every bidegree: stage 0 must cover the module (its own rank count),
@@ -88,7 +92,6 @@ class FreeResolution:
     stages: tuple[tuple[Generator, ...], ...]
     diff: tuple[dict, ...]
     aug: tuple[int, ...]  # stage-0 generator -> bit-packed module vector
-    stage_min_degree: tuple[int, ...]  # lower bound per stage (max_t+1 if none)
 
     @property
     def total_generators(self) -> int:
@@ -196,21 +199,19 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         dim = m.dim(t)
         if dim == 0:
             continue
-        got = len(f2linalg.echelon(st0.img[t]))
-        if got < dim:
-            # The reduced basis names each new generator by its coset.
-            sub = f2linalg.span(st0.img[t], dim)
+        piv = f2linalg.echelon(st0.img[t])
+        if len(piv) < dim:
+            # Each free column f becomes a generator, named by its coset:
+            # e_f plus every pivot e_p whose canonical representative
+            # (e_p plus p's reduced row) has bit f.
+            reds = {p: f2linalg.reduce(piv, 1 << p) for p in piv}
             for f in range(dim):
-                if f in sub.piv:
-                    continue
-                phi = 1 << f
-                for p, b in sub.piv.items():
-                    if (b >> f) & 1:
-                        phi |= 1 << p
-                st0.add_generator(0, t, 1 << f, m.element_name(t, phi))
+                if f not in piv:
+                    phi = sum(1 << p for p, red in reds.items() if red >> f & 1)
+                    st0.add_generator(0, t, 1 << f, m.element_name(t, phi | 1 << f))
             # The augmentation must be onto; count afresh, not from the choice above.
-            got = len(f2linalg.echelon(st0.img[t]))
-        _check_exact(0, t, got, dim)
+            piv = f2linalg.echelon(st0.img[t])
+        _check_exact(0, t, len(piv), dim)
         st0.rank[t] = dim
 
     # -- higher stages: cover kernels degree by degree.
@@ -229,7 +230,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                 # prev.img[t] lives in prev's target, the module or stage s - 2.
                 width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
                 ordinal = 0
-                for kv in f2linalg.relations(prev.img[t], width).basis:
+                for kv in f2linalg.relations(prev.img[t], width):
                     red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
@@ -250,16 +251,11 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                 (tg, SqSum(tuple(sorted(mons, reverse=True))))
                 for tg, mons in sorted(prev.entries(g.t, vec).items()))
 
-    mins = []
-    for s in range(max_s + 1):
-        mins.append(min((g.t for g in stages[s].gens), default=max_t + 1))
-
     res = FreeResolution(
         m, max_s, max_t,
         stages=tuple(tuple(st.gens) for st in stages),
         diff=tuple(diffs),
-        aug=tuple(stages[0].dvec),
-        stage_min_degree=tuple(mins))
+        aug=tuple(stages[0].dvec))
     problems = verify(res)
     if problems:
         raise InternalError("resolution failed verification: " + "; ".join(problems))
@@ -430,13 +426,6 @@ def chart_from_json(obj: dict) -> ExtChart:
         annotations=tuple(obj.get("annotations", ())))
 
 
-def synthetic_chart(dims: dict, max_s: int, max_t: int, products: Optional[dict] = None,
-                    **kw) -> ExtChart:
-    """Hand-built chart (tests, positive controls)."""
-    return ExtChart(max_s=max_s, max_t=max_t, dims=dict(dims),
-                    labels={}, products=products or {}, **kw)
-
-
 def ext_chart(res: FreeResolution,
               torsion_free_top_stems: Sequence[int] = ()) -> ExtChart:
     """Read the E2 chart off a minimal resolution.
@@ -472,7 +461,8 @@ def ext_chart(res: FreeResolution,
         max_s=res.max_s, max_t=res.max_t, dims=dims, labels=labels,
         products={k: tuple(sorted(v)) for k, v in products.items()},
         trusted_stem_max=trusted,
-        stage_min_degree=res.stage_min_degree,
+        stage_min_degree=tuple(min((g.t for g in st), default=res.max_t + 1)
+                               for st in res.stages),
         bottom=m.bottom_nonzero,
         cell_degrees=tuple(d for d in range(m.lo, m.hi + 1) if m.dim(d)),
         torsion_free_top_stems=frozenset(torsion_free_top_stems))

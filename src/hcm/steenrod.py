@@ -192,10 +192,6 @@ def basis(deg: int) -> tuple[SqMonomial, ...]:
     return tuple(sorted(gen(deg, deg)))
 
 
-def basis_dim(deg: int) -> int:
-    return len(basis(deg))
-
-
 @lru_cache(maxsize=None)
 def sq_masks(i: int, d: int) -> tuple[int, ...]:
     """Sq^i (i >= 1) on ``basis(d)`` as bitmasks over ``basis(d + i)``.

@@ -126,9 +126,7 @@ class GradedModule:
     # -- acting by Steenrod operations -----------------------------------
 
     def sq_rows(self, a: int, d: int) -> tuple[int, ...]:
-        """Vectors Sq^a(e_i) for the degree-d basis, in degree d + a."""
-        if a == 0:
-            return tuple(1 << i for i in range(self.dim(d)))
+        """Vectors Sq^a(e_i), a >= 1, for the degree-d basis, in degree d + a."""
         return self.action.get((a, d), (0,) * self.dim(d))
 
     def act(self, a: int, d: int, vec: int) -> int:
@@ -234,12 +232,21 @@ class GradedModule:
         }
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind``; JSON's true is not an integer."""
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a boolean"
+        raise InputError(f"bad module JSON: {name!r} must be {noun}, got {value!r}")
+    return value
+
+
 def from_json(obj: dict) -> GradedModule:
     try:
-        lo, hi = (int(x) for x in obj["window"])
-        cells = [(str(c["label"]), int(c["degree"])) for c in obj["cells"]]
-        edges = [(str(e["from"]), str(e["to"]), int(e["sq"])) for e in obj.get("edges", ())]
-        unstable = bool(obj.get("unstable", True))
+        lo, hi = (_typed(x, int, "window") for x in obj["window"])
+        cells = [(str(c["label"]), _typed(c["degree"], int, "degree")) for c in obj["cells"]]
+        edges = [(str(e["from"]), str(e["to"]), _typed(e["sq"], int, "sq"))
+                 for e in obj.get("edges", ())]
+        unstable = _typed(obj.get("unstable", True), bool, "unstable")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module JSON: {exc}") from exc
     return from_cells(diagram(cells, edges), (lo, hi), unstable=unstable)

@@ -153,8 +153,7 @@ def test_exceptional_filtrations():
     assert facts[25].formula == "2M2-5"
     assert facts[32].formula == "2M2-4"
     assert facts[41].formula == "2M2-5"
-    with pytest.raises(UnsupportedError):
-        bd.exceptional_filtration(26)
+    assert 26 not in facts
 
 
 @given(st.integers(1, 10**6))

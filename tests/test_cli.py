@@ -76,8 +76,7 @@ def _drop_a_relation(monkeypatch):
     real = f2linalg.relations
 
     def lossy(rows, width):
-        sub = real(rows, width)
-        return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
+        return real(rows, width)[:-1]
 
     monkeypatch.setattr(f2linalg, "relations", lossy)
 
@@ -98,6 +97,39 @@ def test_engine_self_check_exit_5(capsys, monkeypatch, break_engine, argv, messa
     code, out, err = run(capsys, *argv)
     assert code == 5 and out == ""
     assert err.startswith("error: " + message) and "Traceback" not in err
+
+
+def _module_file(tmp_path, **change):
+    obj = {"window": [0, 3],
+           "cells": [{"label": "a", "degree": 1}, {"label": "b", "degree": 2}],
+           "edges": [{"from": "b", "to": "a", "sq": 1}],
+           "unstable": False}
+    for key, value in change.items():
+        if key == "degree":
+            obj["cells"][0]["degree"] = value
+        elif key == "sq":
+            obj["edges"][0]["sq"] = value
+        else:
+            obj[key] = value
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", 1.9), ("degree", True), ("degree", "1"),
+    ("window", [0.7, 3.9]), ("window", [False, 3]),
+    ("sq", 1.2),
+    ("unstable", "no"), ("unstable", "false"), ("unstable", 0),
+])
+def test_module_fields_are_read_by_type(tmp_path, capsys, field, value):
+    # A value of the wrong JSON type is rejected, never truncated or coerced.
+    code, _, _ = run(capsys, "ext", "--module", _module_file(tmp_path), "--max-s", "2")
+    assert code == 0
+    code, out, err = run(capsys, "ext", "--module", _module_file(tmp_path, **{field: value}),
+                         "--max-s", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad module JSON:") and repr(field) in err
 
 
 def test_ext_svg(capsys):
@@ -133,6 +165,14 @@ def test_d2_range_error_exit_3(capsys):
     code, out, err = run(capsys, "d2", "--module", "builtin:o", "--n", "17",
                          "--lo", "32", "--hi", "60")
     assert code == 3 and "error" in err
+
+
+@pytest.mark.parametrize("flag", ["--lo", "--hi"])
+def test_d2_half_window_exit_2(capsys, flag):
+    # One window flag alone is not silently replaced by the default window.
+    code, out, err = run(capsys, "d2", "--module", "builtin:o", "--n", "16", flag, "31")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--lo" in err and "--hi" in err
 
 
 def test_bar_e1(capsys):

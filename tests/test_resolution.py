@@ -419,7 +419,7 @@ def test_check_no_differentials():
     o = sm.builtin("o:1", 17)
     tch = rs.ext_chart(rs.minimal_resolution(sm.tensor(o, o, (32, 35)), 6, 39))
     assert rs.check_no_differentials(tch, (32, 33)) == []
-    syn = rs.synthetic_chart({(0, 9): 1, (2, 10): 1}, max_s=5, max_t=12)
+    syn = rs.ExtChart(5, 12, {(0, 9): 1, (2, 10): 1}, {}, {})
     arrows = rs.check_no_differentials(syn, (0, 12))
     assert len(arrows) == 1 and arrows[0]["r"] == 2
     assert arrows[0]["from"] == (9, 0) and arrows[0]["to"] == (8, 2)
@@ -437,8 +437,8 @@ def test_refusals():
     with pytest.raises(RefusalError):
         rs.homotopy_from_chart(ch, 30)
     # a synthetic chart with a live differential
-    syn = rs.synthetic_chart({(0, 9): 1, (2, 10): 1}, max_s=5, max_t=12,
-                             cell_degrees=(5,), stage_min_degree=(5, 12, 12, 12, 12, 12))
+    syn = rs.ExtChart(5, 12, {(0, 9): 1, (2, 10): 1}, {}, {},
+                      cell_degrees=(5,), stage_min_degree=(5, 12, 12, 12, 12, 12))
     with pytest.raises(RefusalError):
         rs.homotopy_from_chart(syn, 8)
 
@@ -520,8 +520,7 @@ def test_exactness_check_catches_a_missing_generator(monkeypatch):
     real = f2linalg.relations
 
     def lossy(rows, width):
-        sub = real(rows, width)
-        return f2linalg.Subspace(sub.basis[:-1], sub.ambient_dim)
+        return real(rows, width)[:-1]
 
     monkeypatch.setattr(f2linalg, "relations", lossy)
     with pytest.raises(InternalError, match="not exact"):
@@ -545,20 +544,29 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
 
 
 def test_full_elimination_only_where_a_generator_is_missing(monkeypatch):
-    # Higher stages grow one forward echelon per bidegree, and relations
-    # back-substitutes only its identity block, so the back-substituting
-    # rref runs only inside stage 0's span, at the one degree that gains a
-    # generator.
-    real = f2linalg.rref
+    # Every stage grows one forward echelon per bidegree, stage 0 names its
+    # generators' cosets through reduce, and relations back-substitutes only
+    # its identity block, so neither rref nor span runs, not even where a
+    # stage-0 label is a sum over a coset.
     calls = []
 
-    def counted(m):
-        calls.append(m.rows)
-        return real(m)
+    def counted(name):
+        real = getattr(f2linalg, name)
 
-    monkeypatch.setattr(f2linalg, "rref", counted)
-    rs.minimal_resolution(sm.sphere_module(20), 6, 20)
-    assert len(calls) == 1
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("rref", "span"):
+        monkeypatch.setattr(f2linalg, name, counted(name))
+    for m, max_s, max_t, labels in [
+            (sm.sphere_module(20), 6, 20, ["x0"]),
+            (ep.tensor_square(17), 3, 38, ["y16⊗y16", "y16⊗y17 + y17⊗y16"]),
+            (ep.d2_splitting_summands(20)[1], 3, 44, ["Q0(y19)", "Q2(y19) + y19·y21"])]:
+        res = rs.minimal_resolution(m, max_s, max_t)
+        assert calls == []
+        assert [g.label for g in res.stages[0]] == labels
 
 
 def test_relations_outside_the_kernel_are_caught(monkeypatch):
@@ -566,7 +574,7 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch):
     # differential is not a cycle; stopping early at the kernel's
     # dimension must not hide them.
     def everything(rows, width):
-        return f2linalg.Subspace(tuple(1 << i for i in range(len(rows))), len(rows))
+        return [1 << i for i in range(len(rows))]
 
     monkeypatch.setattr(f2linalg, "relations", everything)
     with pytest.raises(InternalError):
