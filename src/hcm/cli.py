@@ -91,6 +91,12 @@ def _load_module(spec: str, n: Optional[int],
     return stmodule.from_json(data)
 
 
+def _warn(module: stmodule.GradedModule) -> None:
+    """Each construction warning of ``module`` as one stderr line."""
+    for text in module.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+
+
 def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int) -> resolution.ExtChart:
     cache_dir = os.environ.get("HCM_CACHE_DIR")
     key = None
@@ -125,6 +131,7 @@ def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int) -> reso
 
 def cmd_ext(args) -> int:
     module = _load_module(args.module, args.n, max_t=args.max_t)
+    _warn(module)
     max_t = args.max_t if args.max_t is not None else module.hi + args.max_s
     max_s = args.max_s
     chart = _cached_chart(module, max_s, max_t)
@@ -143,6 +150,7 @@ def cmd_d2(args) -> int:
     if (args.lo is None) != (args.hi is None):
         raise InputError("give both --lo and --hi, or neither")
     base = _load_module(args.module, args.n)
+    _warn(base)
     bottom = base.bottom_nonzero
     if bottom is None:
         raise InputError("cannot form the quadratic power of a zero module")

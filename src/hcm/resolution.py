@@ -24,9 +24,10 @@ every bidegree: stage 0 must cover the module (its own rank count),
 and each later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
-``verify`` expands d.d through cached Adem products of whole sums
-(``steenrod.product``) and reads none of the tables below, so a wrong
-mask table cannot vouch for itself.
+``verify`` XORs d.d together from cached bitmask products of whole sums
+(``steenrod.mask_product``, straightened by the Adem relations) and
+reads none of the tables below (``sq_masks``, ``first_letters``,
+``img``), so a wrong mask table cannot vouch for itself.
 Every stage is the same kind of object, a free module whose generators
 map into a target; it acts on that target through one function, the
 module's action at stage 0 and the previous stage's Sq action after
@@ -307,8 +308,10 @@ def verify(res: FreeResolution) -> list[str]:
     """Minimality (no unit entries) and d.d = 0 by full Steenrod expansion.
 
     Each pair of composed entries is multiplied as sums by
-    ``steenrod.product``, which straightens by the Adem relations; the
-    resolver's ``sq_masks`` and ``first_letters`` tables are never read.
+    ``steenrod.mask_product``, which straightens by the Adem relations,
+    and the masks are XORed per target generator; the resolver's
+    ``sq_masks`` and ``first_letters`` tables and the stages' images
+    are never read.
     """
     problems = []
     for s in range(1, res.max_s + 1):
@@ -316,14 +319,13 @@ def verify(res: FreeResolution) -> list[str]:
             for j, sq in entries:
                 if any(mon == () for mon in sq.terms):
                     problems.append(f"unit entry in differential at stage {s}, generator {i}")
-    # d(d(g)) expanded through Steenrod products, collected per target generator.
+    # d(d(g)) as Steenrod product masks, XORed per target generator.
     for s in range(2, res.max_s + 1):
         for i, entries in res.diff[s].items():
-            acc: dict[int, set] = {}
+            acc: dict[int, int] = {}
             for j, sq in entries:
                 for j2, sq2 in res.diff[s - 1].get(j, ()):
-                    acc.setdefault(j2, set()).symmetric_difference_update(
-                        steenrod.product(sq, sq2).terms)
+                    acc[j2] = acc.get(j2, 0) ^ steenrod.mask_product(sq, sq2)
             if any(acc.values()):
                 problems.append(f"d.d != 0 at stage {s}, generator {i}")
     for i, entries in res.diff[1].items() if res.max_s >= 1 else ():

@@ -9,6 +9,15 @@ to sums of admissible monomials through the Adem relations
 with binomial coefficients mod 2 evaluated by Lucas' theorem.  Sums are
 carried by :class:`SqSum`, a canonically ordered GF(2) linear
 combination of admissible monomials of one degree.
+
+Inside this module a sum is a bitmask over ``basis(d)``.  Straightening
+applies a word one letter at a time through ``_left_mul(i, d)``, the
+rows of Sq^i on ``basis(d)``, which the Adem relation on the first
+letter builds from lower degrees; ``mask_product`` caches the mask of
+a product per pair of sums, and ``SqSum`` is built only where a sum is
+handed out.  The resolver's table ``sq_masks`` is built by a separate
+bitmask recursion over ``first_letters``, so the two tables check each
+other.
 """
 
 from __future__ import annotations
@@ -122,74 +131,113 @@ def _adem_pair(a: int, b: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _left_mul(i: int, mon: SqMonomial) -> frozenset:
-    """Admissible expansion of Sq^i * mon for admissible mon, i >= 1."""
-    if mon == ():
-        return frozenset({(i,)})
-    if i >= 2 * mon[0]:
-        return frozenset({(i,) + mon})
-    acc: set[SqMonomial] = set()
-    for head in _adem_pair(i, mon[0]):
-        # head is (a+b-c,) or (a+b-c, c); re-multiply its letters onto the
-        # admissible tail from the right so every step stays memoised.
-        acc.symmetric_difference_update(_apply(head, (mon[1:],)))
-    return frozenset(acc)
+def _index(deg: int) -> dict:
+    """Position of each admissible monomial in ``basis(deg)``."""
+    return {mon: p for p, mon in enumerate(basis(deg))}
 
 
-def _apply(word: Sequence[int], monomials: Iterable[SqMonomial]) -> frozenset:
-    """Admissible expansion of Sq^{word[0]}...Sq^{word[-1]} times a sum of monomials."""
-    acc = frozenset(monomials)
+@lru_cache(maxsize=None)
+def _left_mul(i: int, d: int) -> tuple[int, ...]:
+    """Sq^i (i >= 1) on ``basis(d)`` as bitmasks over ``basis(d + i)``, by straightening.
+
+    Sq^i mon is admissible when i >= 2 mon[0]; otherwise ``_adem_pair``
+    straightens Sq^i Sq^{mon[0]}, and each of its admissible heads is
+    applied letter by letter to the rest of mon, whose degree is lower.
+    """
+    pos = _index(d + i)
+    if d == 0:
+        return (1 << pos[(i,)],)
+    rows = []
+    for mon in basis(d):
+        a = mon[0]
+        if i >= 2 * a:
+            rows.append(1 << pos[(i,) + mon])
+            continue
+        rest, row = 1 << _index(d - a)[mon[1:]], 0
+        for head in _adem_pair(i, a):
+            row ^= _apply(head, d - a, rest)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _apply(word: Sequence[int], d: int, mask: int) -> int:
+    """Sq^{word[0]}...Sq^{word[-1]} on a sum over ``basis(d)`` given as a mask.
+
+    The result is a mask over ``basis(d + sum(word))``.
+    """
     for letter in reversed(word):
-        nxt: set[SqMonomial] = set()
-        for t in acc:
-            nxt.symmetric_difference_update(_left_mul(letter, t))
-        acc = frozenset(nxt)
-    return acc
+        rows, out = _left_mul(letter, d), 0
+        while mask:
+            low = mask & -mask
+            out ^= rows[low.bit_length() - 1]
+            mask ^= low
+        mask, d = out, d + letter
+    return mask
+
+
+def _from_mask(mask: int, d: int) -> SqSum:
+    """The sum of the ``basis(d)`` elements at the set bits of mask."""
+    mons = basis(d)
+    return SqSum(tuple(mons[p] for p in reversed(list(_bits(mask)))))
 
 
 def adem_reduce(word: Sequence[int]) -> SqSum:
     """Admissible-basis expansion of Sq^{word[0]}...Sq^{word[-1]}."""
     if any(i <= 0 for i in word):
         raise ContractViolationError("word entries must be positive")
-    return SqSum(tuple(sorted(_apply(tuple(word), ((),)), reverse=True)))
+    return _from_mask(_apply(tuple(word), 0, 1), sum(word))
 
 
 @lru_cache(maxsize=None)
-def product(a: SqSum, b: SqSum) -> SqSum:
-    """Concatenate-and-reduce product, bilinear over GF(2).
+def mask_product(a: SqSum, b: SqSum) -> int:
+    """a * b as a bitmask over ``basis(deg a + deg b)``; 0 when either is zero.
 
     Each left monomial is applied to the whole right sum at once, and
     the result is cached per pair of sums.
     """
-    acc: set[SqMonomial] = set()
+    if a.is_zero or b.is_zero:
+        return 0
+    d, pos = b.degree, _index(b.degree)
+    right = sum(1 << pos[t] for t in b.terms)
+    acc = 0
     for ma in a.terms:
-        acc.symmetric_difference_update(_apply(ma, b.terms))
-    return SqSum(tuple(sorted(acc, reverse=True)))
+        acc ^= _apply(ma, d, right)
+    return acc
+
+
+def product(a: SqSum, b: SqSum) -> SqSum:
+    """Concatenate-and-reduce product, bilinear over GF(2)."""
+    if a.is_zero or b.is_zero:
+        return SqSum.zero()
+    return _from_mask(mask_product(a, b), a.degree + b.degree)
 
 
 @lru_cache(maxsize=None)
 def monomial_product(ma: SqMonomial, mb: SqMonomial) -> SqSum:
-    return SqSum(tuple(sorted(_apply(ma, (mb,)), reverse=True)))
+    d = degree(mb)
+    return _from_mask(_apply(ma, d, 1 << _index(d)[mb]), degree(ma) + d)
 
 
 @lru_cache(maxsize=None)
 def basis(deg: int) -> tuple[SqMonomial, ...]:
-    """All admissible monomials of the given degree, lexicographically."""
+    """All admissible monomials of the given degree, lexicographically.
+
+    Each is Sq^i rest with rest in ``basis(deg - i)`` and i >= 2 rest[0]
+    (rest empty when i = deg), so the cached lower degrees build it, in
+    order: by first letter, then by rest.
+    """
     if deg < 0:
         return ()
     if deg == 0:
         return ((),)
-
-    def gen(remaining: int, max_first: int):
-        # Sequences (i_1, ..., i_k), i_1 <= max_first, i_j >= 2 i_{j+1}.
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_first), 0, -1):
-            for tail in gen(remaining - first, first // 2):
-                yield (first,) + tail
-
-    return tuple(sorted(gen(deg, deg)))
+    out = []
+    for i in range(2, deg):
+        for rest in basis(deg - i):
+            if 2 * rest[0] > i:
+                break
+            out.append((i,) + rest)
+    out.append((deg,))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -229,4 +277,4 @@ def first_letters(deg: int) -> tuple[tuple[int, int], ...]:
 
     ``rest`` is admissible, so it sits in ``basis(deg - i)``.
     """
-    return tuple((mon[0], basis(deg - mon[0]).index(mon[1:])) for mon in basis(deg))
+    return tuple((mon[0], _index(deg - mon[0])[mon[1:]]) for mon in basis(deg))

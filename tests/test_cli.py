@@ -132,6 +132,46 @@ def test_module_fields_are_read_by_type(tmp_path, capsys, field, value):
     assert err.startswith("error: bad module JSON:") and repr(field) in err
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("cell", "label", 5), ("edge", "from", 5), ("edge", "to", 5),
+    ("module", "unstabel", False), ("module", "extra", 1),
+    ("cell", "extra", 1), ("edge", "extra", 1),
+])
+def test_module_names_are_strings_and_keys_are_known(tmp_path, capsys, where, key, value):
+    # A number where a name belongs is not turned into a name, and a key
+    # the format does not have (a typo included) is not dropped.
+    obj = json.loads(open(_module_file(tmp_path), encoding="utf-8").read())
+    {"module": obj, "cell": obj["cells"][0], "edge": obj["edges"][0]}[where][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "ext", "--module", str(path), "--max-s", "1", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad module JSON:") and repr(key) in err
+
+
+def test_module_warnings_go_to_stderr(tmp_path, capsys):
+    # No Sq^2 edge from b (degree 7) to a (degree 5): the action defaults
+    # to zero and both ext and d2 say so on stderr, leaving stdout as data.
+    obj = {"window": [5, 7], "cells": [{"label": "a", "degree": 5}, {"label": "b", "degree": 7}],
+           "unstable": False}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    module = sm.from_json(obj)
+    assert module.warnings == ("Sq^2 on a defaulted to zero (degree 7 inhabited)",)
+    line = "warning: Sq^2 on a defaulted to zero (degree 7 inhabited)\n"
+    code, payload, err = run_json(capsys, "ext", "--module", str(path), "--max-s", "2")
+    assert (code, err) == (0, line)
+    chart = rs.ext_chart(rs.minimal_resolution(module, 2, 9))
+    assert payload["chart"] == json.loads(json.dumps(chart.to_json()))
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "d2", "--module", str(path), *extra)
+        assert (code, err) == (0, line) and "warning" not in out and "Q2(a)" in out
+    obj["edges"] = [{"from": "b", "to": "a", "sq": 2}]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run(capsys, "ext", "--module", str(path), "--max-s", "2")
+    assert (code, err) == (0, "")
+
+
 def test_ext_svg(capsys):
     code, out, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "12",
                        "--format", "svg")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,20 @@ def test_basis_is_sorted_and_admissible():
         mons = sq.basis(d)
         assert list(mons) == sorted(mons)
         assert all(sq.is_admissible(m) and sq.degree(m) == d for m in mons)
+
+
+def test_basis_matches_recursive_enumeration():
+    # Admissible sequences by their first letter, from the largest down.
+    def gen(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for tail in gen(remaining - first, first // 2):
+                yield (first,) + tail
+
+    for d in range(41):
+        assert sq.basis(d) == tuple(sorted(gen(d, d))), d
 
 
 def test_basis_counts_match_brute_force():
@@ -172,20 +188,74 @@ def test_str_forms():
 
 
 def test_sq_masks_match_left_multiplication():
-    # Each mask is Sq^i on basis(d), read through basis(d + i) position by
-    # position; the masks come from their own bitmask recursion, so the
-    # frozenset Adem straightening is an independent oracle.
-    for d in range(0, 32):
-        for i in range(1, 33 - d):
-            target = sq.basis(d + i)
+    # sq_masks comes from its own bitmask recursion over first_letters;
+    # _left_mul straightens through _adem_pair and its own position index,
+    # so each table is an independent check of the other.
+    for d in range(0, 64):
+        for i in range(1, 65 - d):
             masks = sq.sq_masks(i, d)
             assert len(masks) == len(sq.basis(d))
-            for mon, mask in zip(sq.basis(d), masks):
-                hit = {target[p] for p in range(len(target)) if (mask >> p) & 1}
-                assert hit == set(sq._left_mul(i, mon)), (i, mon)
+            assert masks == sq._left_mul(i, d), (i, d)
 
 
 def test_first_letters_split_each_monomial():
     for deg in range(1, 25):
         for mon, (i, j) in zip(sq.basis(deg), sq.first_letters(deg)):
             assert (i,) + sq.basis(deg - i)[j] == mon
+
+
+# -- Cartan oracle -------------------------------------------------------------
+#
+# The Steenrod algebra acts on F2[x1..xk] through Sq(x) = x + x^2 and the
+# Cartan formula, so Sq^j x^e = C(e, j) x^(e+j) and Sq^n of a monomial sums
+# over the ways to spread n across its variables.  An element of degree
+# <= k acts faithfully on x1...xk, so equal actions there mean equal
+# elements.  The oracle reads no Adem relation and no package helper.
+
+
+def _cartan_sq(n, poly):
+    """Sq^n on a polynomial given as a set of exponent tuples."""
+    out = set()
+    for mono in poly:
+        def spread(m, left):
+            if m == len(mono):
+                if left == 0:
+                    yield ()
+                return
+            e = mono[m]
+            for j in range(min(e, left) + 1):
+                if comb(e, j) % 2:
+                    for tail in spread(m + 1, left - j):
+                        yield (e + j,) + tail
+        out.symmetric_difference_update(spread(0, n))
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _cartan_act(word, k):
+    """Sq^{word[0]}...Sq^{word[-1]} on x1...xk."""
+    if not word:
+        return frozenset({(1,) * k})
+    return _cartan_sq(word[0], _cartan_act(word[1:], k))
+
+
+def _cartan_sum(terms, k):
+    out = set()
+    for t in terms:
+        out.symmetric_difference_update(_cartan_act(t, k))
+    return out
+
+
+def test_products_and_masks_match_cartan_action():
+    top = 9
+    for total in range(1, top + 1):
+        for d in range(total + 1):
+            for a in sq.basis(d):
+                for b in sq.basis(total - d):
+                    got = sq.product(SqSum((a,)), SqSum((b,))).terms
+                    assert _cartan_sum(got, total) == _cartan_act(a + b, total), (a, b)
+        target = sq.basis(total)
+        for i in range(1, total + 1):
+            for mon, mask in zip(sq.basis(total - i), sq.sq_masks(i, total - i)):
+                got = [target[p] for p in range(len(target)) if (mask >> p) & 1]
+                assert _cartan_sum(got, total) == _cartan_act((i,) + mon, total), (i, mon)
