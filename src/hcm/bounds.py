@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError
@@ -149,6 +150,21 @@ def check_af_j(k: int, s, l: int) -> AfJReport:
 STATED_COND3_K = {1: 52, 2: 78, 3: 98}
 
 
+def condition3_failures(l: int, horizon: int) -> list[int]:
+    """The stems 1 <= k <= horizon at which condition (3) fails.
+
+    Condition (3) is multiplied through by lcm(10, denominator of b),
+    so each stem costs integer arithmetic only.
+    """
+    b = vanishing_params(l).b
+    scale = lcm(10, b.denominator)
+    half, three_tenths = scale // 2, 3 * scale // 10
+    # scale·((k+1)/2 + b - l + 1 - 4) >= scale·(3k/10 + v2(k+2) + v2(k+1))
+    const = half + b.numerator * (scale // b.denominator) - scale * (l + 3)
+    return [k for k in range(1, horizon + 1)
+            if half * k + const < three_tenths * k + scale * (v2(k + 2) + v2(k + 1))]
+
+
 def condition3_scan(l: int, horizon: int = 4096) -> dict:
     """Verify the stated k-threshold for condition (3) and find the true one.
 
@@ -161,11 +177,7 @@ def condition3_scan(l: int, horizon: int = 4096) -> dict:
     if horizon < 256:
         raise RangeError("horizon must be at least 256")
     p = vanishing_params(l)
-
-    def cond3(k: int) -> bool:
-        return Fraction(k + 1, 2) + p.b - l + 1 >= davis_mahowald(k)
-
-    failures = [k for k in range(1, horizon + 1) if not cond3(k)]
+    failures = condition3_failures(l, horizon)
     last_fail = failures[-1] if failures else 0
     stated = STATED_COND3_K[l]
     # Tail: need k/5 >= (7/2 + l - b) + v2(k+1) + v2(k+2); the valuation sum
@@ -238,7 +250,12 @@ class ScanCase:
         return 2 * n >= STATED_COND3_K[self.l]
 
     def passes(self, n: int) -> bool:
-        return self.side_ok(n) and self.lhs(n) >= self.rhs(n)
+        # lhs >= (2n+1)/5 + c, multiplied through by lcm(5, denominator of c)
+        c = vanishing_params(self.l).c
+        scale = lcm(5, c.denominator)
+        return self.side_ok(n) and (
+            scale * self.lhs(n)
+            >= (scale // 5) * (2 * n + 1) + c.numerator * (scale // c.denominator))
 
 
 SCAN_CASES = {

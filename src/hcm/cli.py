@@ -4,21 +4,25 @@ Commands: ext, d2, bar-e1, bounds (table|scan|check), classify,
 stems (query).  Data goes to stdout (or --out), diagnostics to stderr.
 Exit codes: 0 success, 2 bad input, 3 out of range, 4 refusal to
 assemble, 5 a failed self-check of the engine.  Set HCM_CACHE_DIR to cache chart computations between runs.
+
+Each command imports only the engine modules it runs: a process serves
+one command, and most commands need one module.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import barpage, bounds, classify, extpower, render, resolution, stmodule
 from .errors import HcmError, InputError, RangeError
+
+if TYPE_CHECKING:
+    from .resolution import ExtChart
+    from .stmodule import GradedModule
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +46,8 @@ def _emit_json(args, payload: dict):
 
 
 def _frac_str(x) -> str:
+    from fractions import Fraction
+
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -54,25 +60,30 @@ def _frac_str(x) -> str:
 # -- module specs ---------------------------------------------------------------
 
 
-# name -> (constructor of n, what --n means)
+# name -> (constructor of (extpower, n), or None for stmodule.builtin(name, n);
+# what --n means)
 _BUILTINS = {
-    "o": (lambda n: stmodule.builtin("o", n), ""),
-    "o:0": (lambda n: stmodule.builtin("o:0", n), ""),
-    "o:1": (lambda n: stmodule.builtin("o:1", n), ""),
-    "o:4": (lambda n: stmodule.builtin("o:4", n), ""),
-    "Z": (lambda n: stmodule.builtin("Z", n), " (the bottom degree)"),
-    "d2-o": (lambda n: extpower.d2_splitting_summands(n)[1], ""),
-    "d2-sphere": (extpower.d2_sphere, " (the cell dimension)"),
-    "d2-Z": (extpower.d2_integral, " (the bottom degree)"),
-    "tensor-o": (extpower.tensor_square, ""),
+    "o": (None, ""),
+    "o:0": (None, ""),
+    "o:1": (None, ""),
+    "o:4": (None, ""),
+    "Z": (None, " (the bottom degree)"),
+    "d2-o": (lambda ep, n: ep.d2_splitting_summands(n)[1], ""),
+    "d2-sphere": (lambda ep, n: ep.d2_sphere(n), " (the cell dimension)"),
+    "d2-Z": (lambda ep, n: ep.d2_integral(n), " (the bottom degree)"),
+    "tensor-o": (lambda ep, n: ep.tensor_square(n), ""),
 }
 
 
 def _load_module(spec: str, n: Optional[int],
-                 max_t: Optional[int] = None) -> stmodule.GradedModule:
+                 max_t: Optional[int] = None) -> GradedModule:
+    from . import stmodule
+
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         if name == "sphere":
+            if n is not None:
+                raise InputError("--n does not apply to builtin 'sphere'")
             # An empty range is left to minimal_resolution's own check.
             return stmodule.sphere_module(max(max_t, 0) if max_t is not None else 20)
         if name not in _BUILTINS:
@@ -80,7 +91,13 @@ def _load_module(spec: str, n: Optional[int],
         make, meaning = _BUILTINS[name]
         if n is None:
             raise InputError(f"builtin {name!r} needs --n{meaning}")
-        return make(n)
+        if make is None:
+            return stmodule.builtin(name, n)
+        from . import extpower
+
+        return make(extpower, n)
+    if n is not None:
+        raise InputError(f"--n does not apply to a module file ({spec!r})")
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -91,16 +108,20 @@ def _load_module(spec: str, n: Optional[int],
     return stmodule.from_json(data)
 
 
-def _warn(module: stmodule.GradedModule) -> None:
+def _warn(module: GradedModule) -> None:
     """Each construction warning of ``module`` as one stderr line."""
     for text in module.warnings:
         print(f"warning: {text}", file=sys.stderr)
 
 
-def _cached_chart(module: stmodule.GradedModule, max_s: int, max_t: int) -> resolution.ExtChart:
+def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
+    from . import resolution
+
     cache_dir = os.environ.get("HCM_CACHE_DIR")
     key = None
     if cache_dir:
+        import hashlib
+
         blob = json.dumps([resolution.CHART_VERSION, module.to_json(), max_s, max_t],
                           sort_keys=True)
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
@@ -139,7 +160,10 @@ def cmd_ext(args) -> int:
         chart = chart.with_annotations(MASSEY_NOTE)
     if args.json:
         _emit_json(args, {"chart": chart.to_json()})
-    elif args.format == "svg":
+        return 0
+    from . import render
+
+    if args.format == "svg":
         _emit(args, render.svg_chart(chart))
     else:
         _emit(args, render.ascii_chart(chart))
@@ -160,6 +184,8 @@ def cmd_d2(args) -> int:
         raise RangeError(
             f"no quadratic window above degree {2 * bottom}: the bottom cell sits "
             f"in degree {bottom}, and the construction needs degrees <= {3 * bottom - 1}")
+    from . import extpower
+
     d2 = extpower.d2_homology(base, window, square_style=args.square_style)
     if args.json:
         _emit_json(args, {"module": d2.to_json(),
@@ -177,6 +203,8 @@ def cmd_d2(args) -> int:
 
 
 def cmd_bar_e1(args) -> int:
+    from . import barpage
+
     page = barpage.e1_page(args.n)
     if args.json:
         _emit_json(args, page.to_json())
@@ -191,6 +219,8 @@ def cmd_bar_e1(args) -> int:
 
 
 def cmd_bounds_table(args) -> int:
+    from . import bounds
+
     rows = bounds.table1(args.from_n, args.to_n)
     if args.json:
         _emit_json(args, {"rows": [
@@ -215,6 +245,8 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_bounds_scan(args) -> int:
+    from . import bounds
+
     case = args.case.replace("-", "_")
     result = bounds.threshold_scan(case, args.horizon)
     if args.json:
@@ -245,6 +277,10 @@ def cmd_bounds_scan(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
+    from fractions import Fraction
+
+    from . import bounds
+
     try:
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError):
@@ -281,6 +317,8 @@ def cmd_classify(args) -> int:
         if args.n != n:
             raise InputError(f"{flag} applies only to n = {n}, not n = {args.n}")
         invariant = value
+    from . import classify
+
     result = classify.classification_result(args.n, invariant)
     if args.json:
         _emit_json(args, result.to_json())
@@ -303,6 +341,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stems(args) -> int:
+    from . import classify
+
     db = classify.load_stems(args.stems)
     if args.product:
         fact = db.product(args.product[0], args.product[1])

@@ -138,6 +138,46 @@ def test_scan_monotone_above_threshold():
                 assert sc.passes(n), (case, n)
 
 
+def fraction_condition3_holds(k, l):
+    # condition (3) exactly as stated, in Fractions
+    b = bd.vanishing_params(l).b
+    return (Fraction(k + 1, 2) + b - l + 1
+            >= Fraction(3 * k, 10) + 4 + bd.v2(k + 2) + bd.v2(k + 1))
+
+
+def fraction_passes(sc, n):
+    c = bd.vanishing_params(sc.l).c
+    return sc.side_ok(n) and sc.lhs(n) >= Fraction(2 * n + 1, 5) + c
+
+
+@pytest.mark.parametrize("horizon", [256, 1000, 4096, 10000])
+def test_integer_condition3_matches_fractions(horizon):
+    for l in (1, 2, 3):
+        expected = [k for k in range(1, horizon + 1) if not fraction_condition3_holds(k, l)]
+        assert bd.condition3_failures(l, horizon) == expected, l
+
+
+def test_integer_scan_verdicts_match_fractions():
+    for sc in bd.SCAN_CASES.values():
+        for n in range(1, 10001):
+            assert sc.passes(n) == fraction_passes(sc, n), (sc.name, n)
+
+
+@pytest.mark.parametrize("b, c", [
+    (Fraction(-7, 3), Fraction(31, 3)),  # thirds: no factor shared with 10 or 5
+    (Fraction(-3, 2), Fraction(8)),  # lhs = rhs exactly at n = 27
+])
+def test_integer_scans_of_other_records(monkeypatch, b, c):
+    monkeypatch.setitem(bd._PARAMS, 1, bd.VanishingParams(
+        b, Fraction(1), Fraction(25), Fraction(1, 5), c, 3))
+    expected = [k for k in range(1, 1001) if not fraction_condition3_holds(k, 1)]
+    assert expected and bd.condition3_failures(1, 1000) == expected
+    sc = bd.SCAN_CASES["d1"]
+    verdicts = [sc.passes(n) for n in range(1, 1001)]
+    assert verdicts == [fraction_passes(sc, n) for n in range(1, 1001)]
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_scan_horizon_guard():
     with pytest.raises(RangeError):
         bd.threshold_scan("d1", 100)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,19 @@ def test_builtin_n_checked_once(capsys):
         assert code == 2 and out == "" and "needs --n" in err, name
     code, _, err = run(capsys, "ext", "--module", "builtin:o:1", "--n", "16")
     assert code == 2 and "'o:1' needs n = 1 mod 8" in err
+
+
+def test_n_rejected_where_it_does_not_apply(tmp_path, capsys):
+    # The sphere and a module file have no n, so an --n given to either
+    # is an error, not silently dropped.
+    path = _module_file(tmp_path)
+    for argv in (("ext", "--module", "builtin:sphere", "--n", "7", "--max-s", "1", "--max-t", "3"),
+                 ("d2", "--module", "builtin:sphere", "--n", "3"),
+                 ("ext", "--module", path, "--n", "5", "--max-s", "1"),
+                 ("d2", "--module", path, "--n", "5")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: --n does not apply to ") and err.count("\n") == 1, argv
 
 
 def test_ext_empty_sphere_range_exit_3(capsys):
@@ -384,3 +401,29 @@ def test_stdout_data_stderr_diagnostics(capsys):
     assert out == "" and err != ""
     code, out, err = run(capsys, "classify", "--n", "5")
     assert err == "" and out != ""
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENGINE = {"barpage", "bounds", "classify", "extpower", "f2linalg", "render",
+           "resolution", "steenrod", "stmodule"}
+_REPORT_ENGINE = ("import sys\nfrom hcm import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print(code, *sorted(m[4:] for m in sys.modules if m.startswith('hcm.')))")
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["stems", "query", "--stem", "7"], {"classify"}),
+    (["classify", "--n", "9", "--normal-h", "1"], {"classify"}),
+    (["bounds", "scan", "--case", "d1"], {"bounds"}),
+    (["ext", "--module", "builtin:sphere", "--max-s", "1", "--max-t", "3"],
+     {"f2linalg", "render", "resolution", "steenrod", "stmodule"}),
+    (["--help"], set()),
+], ids=["stems", "classify", "bounds-scan", "ext-sphere", "help"])
+def test_each_command_imports_only_its_engine(tmp_path, argv, engine):
+    # A fresh interpreter per command, as a user's shell runs it.
+    env = {k: v for k, v in os.environ.items() if k != "HCM_CACHE_DIR"}
+    env["PYTHONPATH"] = _SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _REPORT_ENGINE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert set(loaded) & _ENGINE == engine
