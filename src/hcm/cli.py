@@ -122,8 +122,9 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
     if cache_dir:
         import hashlib
 
-        blob = json.dumps([resolution.CHART_VERSION, module.to_json(), max_s, max_t],
-                          sort_keys=True)
+        # to_json() omits truncated, which sets the chart's trusted stems
+        blob = json.dumps([resolution.CHART_VERSION, module.to_json(), module.truncated,
+                           max_s, max_t], sort_keys=True)
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
         try:
             with open(key, "r", encoding="utf-8") as fh:
@@ -173,6 +174,8 @@ def cmd_ext(args) -> int:
 def cmd_d2(args) -> int:
     if (args.lo is None) != (args.hi is None):
         raise InputError("give both --lo and --hi, or neither")
+    if args.lo is not None and args.lo > args.hi:
+        raise InputError(f"--lo {args.lo} is above --hi {args.hi}")
     base = _load_module(args.module, args.n)
     _warn(base)
     bottom = base.bottom_nonzero

@@ -15,9 +15,6 @@ validation; that check is the working proof of the Nishida bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import stmodule
 from .errors import ConstructionError, RangeError
 from .f2linalg import F2Matrix
@@ -25,42 +22,8 @@ from .steenrod import choose_mod2
 from .stmodule import GradedModule
 
 
-@dataclass(frozen=True)
-class DLClass:
-    """Basis class of H_*(D_2 X): Q_i of a cell, or a product of two cells.
-
-    ``kind`` is "q" (base, i) with i >= 0, degree 2 deg(base) + i, or
-    "prod" (x, y) with x before y in the base order.  Q_0(x) and the
-    square x.x are the same class, stored once as ("q", x, 0).
-    """
-
-    kind: str
-    a: tuple[int, int]  # (degree, index) of base cell / left factor
-    b: tuple[int, int] | int  # i for "q"; (degree, index) of right factor
-
-    @property
-    def degree(self) -> int:
-        if self.kind == "q":
-            return 2 * self.a[0] + self.b
-        return self.a[0] + self.b[0]
-
-
 def _atom(label: str) -> str:
     return "(%s)" % label if (" " in label or "+" in label or "·" in label) else label
-
-
-def product_label(x: str, y: str) -> str:
-    return f"{_atom(x)}·{_atom(y)}"
-
-
-def square_label(x: str, style: str) -> str:
-    if style == "power":
-        return f"{_atom(x)}^2"
-    return f"Q0({x})"
-
-
-def q_label(i: int, x: str) -> str:
-    return f"Q{i}({x})"
 
 
 def d2_homology(m: GradedModule, window: tuple[int, int],
@@ -71,6 +34,11 @@ def d2_homology(m: GradedModule, window: tuple[int, int],
     dual basis is read as the homology of X.  The window may not exceed
     three times the bottom cell degree minus one, the range where the
     quadratic layer is the whole story for the intended consumers.
+
+    A base cell is its (degree, index) in ``m``.  A class is the tuple
+    (0, cell, i) for Q_i(cell), in degree 2 deg(cell) + i, or
+    (1, cell, cell2) for the product with cell < cell2; the square
+    cell.cell is Q_0(cell).  Each degree lists its classes in tuple order.
     """
     lo, hi = window
     bottom = m.bottom_nonzero
@@ -84,85 +52,57 @@ def d2_homology(m: GradedModule, window: tuple[int, int],
             f"window top {hi} needs base degrees up to {hi - bottom}, "
             f"but the base module stops at {m.hi}")
 
-    cells: list[tuple[int, int]] = []  # (degree, index) in base order
-    for d in range(m.lo, m.hi + 1):
-        cells.extend((d, i) for i in range(m.dim(d)))
-    name = {c: m.labels(c[0])[c[1]] for c in cells}
-
-    classes: dict[int, list[DLClass]] = {d: [] for d in range(lo, hi + 1)}
-    for c in cells:
-        for i in range(max(0, lo - 2 * c[0]), hi - 2 * c[0] + 1):
-            classes[2 * c[0] + i].append(DLClass("q", c, i))
-    for ia, ca in enumerate(cells):
-        for cb in cells[ia + 1:]:
-            d = ca[0] + cb[0]
-            if lo <= d <= hi:
-                classes[d].append(DLClass("prod", ca, cb))
-    for d in classes:
-        classes[d].sort(key=lambda cl: (0, cl.a, cl.b) if cl.kind == "q"
-                        else (1, cl.a, cl.b))
-    index = {(d, cl.kind, cl.a, cl.b): i
-             for d in classes for i, cl in enumerate(classes[d])}
+    cells = [(d, i) for d in range(m.lo, m.hi + 1) for i in range(m.dim(d))]
+    keys = [(0, c, i) for c in cells for i in range(max(0, lo - 2 * c[0]), hi - 2 * c[0] + 1)]
+    keys += [(1, ca, cb) for k, ca in enumerate(cells) for cb in cells[k + 1:]
+             if lo <= ca[0] + cb[0] <= hi]
+    classes: dict[int, list[tuple]] = {d: [] for d in range(lo, hi + 1)}
+    for cl in sorted(keys):  # filed under its degree
+        classes[2 * cl[1][0] + cl[2] if cl[0] == 0 else cl[1][0] + cl[2][0]].append(cl)
+    pos = {cl: i for d in classes for i, cl in enumerate(classes[d])}
 
     def base_sq(a: int, c: tuple[int, int]) -> list[tuple[int, int]]:
         """Cells in the homology action Sq_a on cell c (degree drops by a)."""
         if a == 0:
             return [c]
         d = c[0] - a
-        if d < m.lo or c[0] > m.hi:
+        if d < m.lo:
             return []
         rows = m.sq_rows(a, d)
         return [(d, j) for j in range(m.dim(d)) if (rows[j] >> c[1]) & 1]
 
-    def q_of(r: int, c: tuple[int, int], out_deg: int) -> Optional[int]:
-        """Position of Q^r(c) (upper index) in degree out_deg, None if zero."""
-        i = r - c[0]
-        if i < 0:
-            return None
-        return index.get((out_deg, "q", c, i))
+    def bit(cl: tuple) -> int:
+        """The class's basis vector; zero for Q_i with i < 0 or outside the window."""
+        p = pos.get(cl)
+        return 0 if p is None else 1 << p
 
-    def prod_pos(ca: tuple[int, int], cb: tuple[int, int], out_deg: int) -> Optional[int]:
-        if ca == cb:
-            return index.get((out_deg, "q", ca, 0))
-        lo_c, hi_c = min(ca, cb), max(ca, cb)
-        return index.get((out_deg, "prod", lo_c, hi_c))
-
-    def sq_lower(a: int, cl: DLClass) -> int:
-        """Bit-packed homology Sq_a of one class, in degree cl.degree - a."""
-        out_deg = cl.degree - a
-        if out_deg < lo or out_deg > hi:
-            return 0
+    def sq_lower(a: int, cl: tuple) -> int:
+        """Bit-packed homology Sq_a of one class, in its degree minus a."""
+        kind, x, y = cl
         out = 0
-        if cl.kind == "q":
-            r = cl.a[0] + cl.b
+        if kind == 0:
+            r = x[0] + y  # upper index: Q_y(x) = Q^r(x)
             for e in range(0, a // 2 + 1):
-                if not choose_mod2(r - a, a - 2 * e):
-                    continue
-                for c2 in base_sq(e, cl.a):
-                    p = q_of(r - a + e, c2, out_deg)
-                    if p is not None:
-                        out ^= 1 << p
+                if choose_mod2(r - a, a - 2 * e):
+                    for c2 in base_sq(e, x):
+                        out ^= bit((0, c2, r - a + e - c2[0]))
         else:
             for e in range(0, a + 1):
-                for ca in base_sq(e, cl.a):
-                    for cb in base_sq(a - e, cl.b):
-                        p = prod_pos(ca, cb, out_deg)
-                        if p is not None:
-                            out ^= 1 << p
+                for ca in base_sq(e, x):
+                    for cb in base_sq(a - e, y):
+                        out ^= bit((0, ca, 0) if ca == cb else (1, min(ca, cb), max(ca, cb)))
         return out
 
-    basis = {}
-    for d in range(lo, hi + 1):
-        names = []
-        for cl in classes[d]:
-            if cl.kind == "q":
-                lbl = square_label(name[cl.a], square_style) if cl.b == 0 \
-                    else q_label(cl.b, name[cl.a])
-            else:
-                lbl = product_label(name[cl.a], name[cl.b])
-            names.append(lbl)
-        basis[d] = tuple(names)
+    def label(cl: tuple) -> str:
+        kind, x, y = cl
+        name = m.labels(x[0])[x[1]]
+        if kind == 1:
+            return f"{_atom(name)}·{_atom(m.labels(y[0])[y[1]])}"
+        if y == 0 and square_style == "power":
+            return f"{_atom(name)}^2"
+        return f"Q{y}({name})"
 
+    basis = {d: tuple(label(cl) for cl in classes[d]) for d in classes}
     action: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in range(1, hi - lo + 1):
         for d in range(lo, hi - a + 1):
@@ -185,12 +125,7 @@ def derived_edges(m: GradedModule) -> list[tuple[int, str, str]]:
     difference; this listing makes every derived edge explicit so chart
     comparisons never guess.
     """
-    edges = []
-    cd = m.to_cells()
-    for e in cd.edges:
-        edges.append((e.sq, e.src, e.dst))
-    edges.sort()
-    return edges
+    return sorted((e.sq, e.src, e.dst) for e in m.to_cells().edges)
 
 
 def d2_splitting_summands(n: int) -> tuple[GradedModule, GradedModule]:

@@ -70,7 +70,9 @@ class GradedModule:
 
     ``basis[d]`` lists labels in degree d; ``action[(a, d)]`` holds one
     bit-packed vector per basis element of degree d, written in the
-    basis of degree d + a.  Instances are immutable by convention.
+    basis of degree d + a.  Instances are immutable by convention once
+    a constructor returns them; ``from_cells`` fills the tables of the
+    one instance it builds before it returns it.
     """
 
     def __init__(self, lo: int, hi: int, basis: dict[int, tuple[str, ...]],
@@ -294,71 +296,53 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
     for c in cells:
         basis[c.degree] = basis.get(c.degree, ()) + (c.label,)
     mod = GradedModule(lo, hi, basis, {}, unstable=unstable, truncated=truncated)
-
     pos = {c.label: mod.locate(c.label) for c in cells}
-    in_window = {c.label for c in cells}
 
-    action: dict[tuple[int, int], list[int]] = {}
-    width = hi - lo
-    for a in range(1, width + 1):
-        for d in range(lo, hi - a + 1):
-            action[(a, d)] = [0] * mod.dim(d)
-
-    asserted: list[Edge] = []
+    # Sq_k: src -> dst dualizes to Sq^k(dst-dual) containing src-dual.  A
+    # 2-power edge from a cell outside the window still states dst's Sq^k.
+    given: dict[tuple[int, str], int] = {}
     for e in diag.edges:
-        if e.src not in in_window or e.dst not in in_window:
-            continue
-        if not _is_pow2(e.sq):
-            asserted.append(e)
-            continue
-        ds, i_src = pos[e.src]
-        dd, i_dst = pos[e.dst]
-        # Sq_k: src -> dst dualizes to Sq^k(dst-dual) containing src-dual.
-        action[(e.sq, dd)][i_dst] ^= 1 << i_src
+        if _is_pow2(e.sq):
+            bit = 1 << pos[e.src][1] if e.src in pos else 0
+            given[(e.sq, e.dst)] = given.get((e.sq, e.dst), 0) ^ bit
 
-    constrained = {(e.sq, e.dst) for e in diag.edges if _is_pow2(e.sq)}
+    # Operations in increasing order: a power of two from the edges, any
+    # other Sq^a Adem-forced from the lower ones already in the table.
     warnings = []
-    k = 1
-    while k <= width:
-        for c in cells:
-            d = c.degree
-            if d + k <= hi and mod.dim(d + k) and (k, c.label) not in constrained:
-                warnings.append(f"Sq^{k} on {c.label} defaulted to zero (degree {d + k} inhabited)")
-        k *= 2
-
-    # Adem-force the non-2-power operations, lowest degree of operation first.
-    work = GradedModule(lo, hi, basis, {k_: tuple(v) for k_, v in action.items()},
-                        unstable=unstable, truncated=truncated)
-    for a in range(2, width + 1):
-        if _is_pow2(a):
-            continue
+    for a in range(1, hi - lo + 1):
         m = 1 << (a.bit_length() - 1)
         s = a - m
+        if s == 0:
+            warnings += [f"Sq^{a} on {c.label} defaulted to zero "
+                         f"(degree {c.degree + a} inhabited)"
+                         for c in cells if mod.dim(c.degree + a) and (a, c.label) not in given]
+            for d in range(lo, hi - a + 1):
+                mod.action[(a, d)] = tuple(given.get((a, lbl), 0) for lbl in mod.labels(d))
+            continue
         for d in range(lo, hi - a + 1):
             rows = []
             for i in range(mod.dim(d)):
-                v = work.act(s, d + m, work.act(m, d, 1 << i))
+                v = mod.act(s, d + m, mod.act(m, d, 1 << i))
                 for cc in range(1, s // 2 + 1):
                     if choose_mod2(m - cc - 1, s - 2 * cc):
-                        v ^= work.act(a - cc, d + cc, work.act(cc, d, 1 << i))
+                        v ^= mod.act(a - cc, d + cc, mod.act(cc, d, 1 << i))
                 rows.append(v)
-            work.action[(a, d)] = tuple(rows)
+            mod.action[(a, d)] = tuple(rows)
 
-    for e in asserted:
-        dd, i_dst = pos[e.dst]
-        ds, i_src = pos[e.src]
-        got = work.act(e.sq, dd, 1 << i_dst)
-        if not (got >> i_src) & 1:
-            raise ConstructionError(
-                f"edge Sq_{e.sq}: {e.src} -> {e.dst} is not Adem-forced "
-                f"(derived Sq^{e.sq} gives {work.element_name(dd + e.sq, got)})")
+    for e in diag.edges:
+        if e.src in pos and e.dst in pos and not _is_pow2(e.sq):
+            dd, i_dst = pos[e.dst]
+            got = mod.act(e.sq, dd, 1 << i_dst)
+            if not (got >> pos[e.src][1]) & 1:
+                raise ConstructionError(
+                    f"edge Sq_{e.sq}: {e.src} -> {e.dst} is not Adem-forced "
+                    f"(derived Sq^{e.sq} gives {mod.element_name(dd + e.sq, got)})")
 
-    out = GradedModule(lo, hi, basis, dict(work.action), unstable=unstable,
-                       truncated=truncated, warnings=tuple(warnings))
-    problems = out.validate()
+    mod.warnings = tuple(warnings)
+    problems = mod.validate()
     if problems:
         raise ConstructionError("; ".join(problems))
-    return out
+    return mod
 
 
 def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> GradedModule:
@@ -392,12 +376,8 @@ def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> Grade
                 d2 = d - d1
                 out = 0
                 for ia in range(a + 1):
-                    vx = m1.act(ia, d1, 1 << i) if ia else (1 << i)
-                    if not vx or d1 + ia > m1.hi:
-                        continue
-                    vy = m2.act(a - ia, d2, 1 << j) if a - ia else (1 << j)
-                    if not vy or d2 + a - ia > m2.hi:
-                        continue
+                    vx = m1.act(ia, d1, 1 << i)
+                    vy = m2.act(a - ia, d2, 1 << j)
                     for bi in f2linalg._bits(vx):
                         for bj in f2linalg._bits(vy):
                             p = index.get((d1 + ia, bi, d2 + a - ia, bj))

@@ -232,6 +232,14 @@ def test_d2_half_window_exit_2(capsys, flag):
     assert err.startswith("error:") and "--lo" in err and "--hi" in err
 
 
+def test_d2_reversed_window_exit_2(capsys):
+    # The error names the window given, not the default one.
+    code, out, err = run(capsys, "d2", "--module", "builtin:o", "--n", "16",
+                         "--lo", "40", "--hi", "30")
+    assert (code, out) == (2, "")
+    assert err == "error: --lo 40 is above --hi 30\n"
+
+
 def test_bar_e1(capsys):
     code, out, _ = run(capsys, "bar-e1", "--n", "17")
     assert code == 0
@@ -372,6 +380,24 @@ def test_chart_cache_env(tmp_path, capsys, monkeypatch):
     code, out7, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
     assert code == 0 and out7 == out1
     assert len(list(versioned.glob("*.json"))) == 2
+
+
+def test_chart_cache_key_holds_truncation(tmp_path, capsys, monkeypatch):
+    # A one-cell module file has the sphere's JSON but is truncated, so its
+    # chart trusts fewer stems; the sphere's cached chart must not serve it.
+    spec = tmp_path / "x0.json"
+    spec.write_text(json.dumps({"window": [0, 12], "cells": [{"label": "x0", "degree": 0}],
+                                "unstable": True}), encoding="utf-8")
+    argv = ["ext", "--max-s", "4", "--max-t", "12", "--module"]
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path / "cold"))
+    code, cold, _ = run_json(capsys, *argv, str(spec))
+    assert code == 0 and cold["chart"]["trusted_stem_max"] == 11
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path / "warm"))
+    code, sphere, _ = run_json(capsys, *argv, "builtin:sphere")
+    assert code == 0 and sphere["chart"]["trusted_stem_max"] is None
+    code, warm, _ = run_json(capsys, *argv, str(spec))
+    assert code == 0 and warm == cold
+    assert len(list((tmp_path / "warm").glob("*.json"))) == 2
 
 
 def test_rendered_chart_round_trip():
