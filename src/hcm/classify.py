@@ -259,7 +259,6 @@ class BoundaryInfo:
     n: int
     spheres_bounding: str
     boundary_map: str
-    kernel_condition: str
     citations: tuple[str, ...]
     qualifier: str = ""
 
@@ -272,26 +271,23 @@ def boundary_info(n: int) -> BoundaryInfo:
         return BoundaryInfo(
             n, "every homotopy 8-sphere bounds a 3-connected 9-manifold",
             "boundary is standard iff Psi_{-L_H}(M) in {1, [nu4 o eta7]}; "
-            "otherwise it is [epsilon]",
-            "ker = {1, [nu4 o eta7]}", ("Thm 1.5(i)", "Thm 1.6"),
+            "otherwise it is [epsilon]", ("Thm 1.5(i)", "Thm 1.6"),
             "up to multiplication by a 2-adic unit")
     if n == 8:
         return BoundaryInfo(
             n, "every homotopy 16-sphere bounds a 7-connected 17-manifold",
             "boundary is standard iff Psi_{L_O}(M) in {1, [sigma8 o eta15]}; "
-            "otherwise it is [eta4]",
-            "ker = {1, [sigma8 o eta15]}", ("Thm 1.5(ii)", "Thm 1.6"),
+            "otherwise it is [eta4]", ("Thm 1.5(ii)", "Thm 1.6"),
             "up to multiplication by a 2-adic unit")
     if n == 9:
         return BoundaryInfo(
             n, "a homotopy 18-sphere bounds an 8-connected 19-manifold iff it "
                "bounds a spin 19-manifold (the bSpin_19 subgroup)",
-            "boundary of f is omega(f)*[h2h4]",
-            "ker = {omega = 0}", ("Thm 1.5(iii)", "Thm 1.6"),
+            "boundary of f is omega(f)*[h2h4]", ("Thm 1.5(iii)", "Thm 1.6"),
             "up to multiplication by a 2-adic unit")
     return BoundaryInfo(
         n, "only the standard sphere bounds an (n-1)-connected (2n+1)-manifold",
-        "boundary map is zero", "ker = everything", ("Thm 1.6",))
+        "boundary map is zero", ("Thm 1.6",))
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,10 @@ def cmd_ext(args) -> int:
     max_t = args.max_t if args.max_t is not None else module.hi + args.max_s
     max_s = args.max_s
     chart = _cached_chart(module, max_s, max_t)
-    if args.module == "builtin:d2-sphere":
-        chart = chart.with_annotations(MASSEY_NOTE)
+    if args.module == "builtin:d2-sphere" and args.n % 2:
+        from dataclasses import replace
+
+        chart = replace(chart, annotations=chart.annotations + (MASSEY_NOTE,))
     if args.json:
         _emit_json(args, {"chart": chart.to_json()})
         return 0
@@ -346,6 +348,8 @@ def cmd_classify(args) -> int:
 def cmd_stems(args) -> int:
     from . import classify
 
+    if args.product and args.stem is not None:
+        raise InputError("stems query takes --stem K or --product A B, not both")
     db = classify.load_stems(args.stems)
     if args.product:
         fact = db.product(args.product[0], args.product[1])
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to a file instead of stdout")
     common.add_argument("--stems", default=argparse.SUPPRESS,
-                        help="override the bundled stems data file")
+                        help="override the bundled stems data file (stems query only)")
 
     p = argparse.ArgumentParser(
         prog="hcm",
@@ -467,6 +471,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
+        if args.stems is not None and args.func is not cmd_stems:
+            raise InputError("--stems applies only to stems query")
         return args.func(args)
     except HcmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,11 +74,6 @@ class AbelianGroup:
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "AbelianGroup":
-        return AbelianGroup(int(obj.get("free_rank", 0)),
-                            tuple(sorted((int(t) for t in obj.get("torsion", ())), reverse=True)))
-
 
 AbelianGroup.ZERO = AbelianGroup()
 AbelianGroup.Z = AbelianGroup(1, ())

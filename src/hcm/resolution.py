@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import f2linalg, steenrod
@@ -138,9 +138,7 @@ class _Stage:
         return out
 
     def extend(self, t: int):
-        """Lay out degree t for the generators present so far."""
-        if t in self.offset:
-            return
+        """Lay out degree t for the generators present so far; once per degree."""
         offset, img = [0], []
         self.offset[t], self.img[t] = offset, img
         for gi, g in enumerate(self.gens):
@@ -216,6 +214,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         st0.rank[t] = dim
 
     # -- higher stages: cover kernels degree by degree.
+    diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
@@ -235,7 +234,11 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
-                    cur.add_generator(s, t, red, _label_for(s, t, red, prev, st0, m, ordinal))
+                    entries = tuple(
+                        (g, SqSum(tuple(sorted(mons, reverse=True))))
+                        for g, mons in sorted(prev.entries(t, red).items()))
+                    diffs[s][len(cur.gens)] = entries
+                    cur.add_generator(s, t, red, _label_for(s, t, entries, prev, m, ordinal))
                     ordinal += 1
                     piv[_low_bit(red)] = red
                     if len(piv) == want:
@@ -243,14 +246,6 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             _check_exact(s, t, len(piv), want)
             cur.rank[t] = len(piv)
         prev.img = {}  # only stage s's images are read from here on
-
-    diffs: list[dict] = [dict() for _ in range(max_s + 1)]
-    for s in range(1, max_s + 1):
-        prev = stages[s - 1]
-        for g, vec in zip(stages[s].gens, stages[s].dvec):
-            diffs[s][g.index] = tuple(
-                (tg, SqSum(tuple(sorted(mons, reverse=True))))
-                for tg, mons in sorted(prev.entries(g.t, vec).items()))
 
     res = FreeResolution(
         m, max_s, max_t,
@@ -276,31 +271,30 @@ def _check_exact(s: int, t: int, got: int, want: int):
             f"resolution not exact at stage {s}, degree {t}: image dim {got}, expected {want}")
 
 
-def _label_for(s: int, t: int, dvec: int, prev: _Stage, st0: _Stage,
-               m: GradedModule, ordinal: int) -> str:
-    entries = prev.entries(t, dvec)
-    # Rule 1: an h_k edge (a bare Sq^{2^k} entry); take the earliest source.
-    best = None
-    for g in sorted(entries):
-        for mon in entries[g]:
-            if len(mon) == 1 and mon[0] & (mon[0] - 1) == 0:
-                k = mon[0].bit_length() - 1
-                if best is None:
-                    best = (prev.gens[g], k)
-                break
-        if best:
-            break
-    if best:
-        return _h_label(best[1], best[0].label)
-    # Rule 2: single composite entry starting with a 2-power, traced into the module.
-    if s == 1 and len(entries) == 1:
-        (g, mons), = entries.items()
-        if len(mons) == 1 and len(mons[0]) >= 2 and mons[0][0] & (mons[0][0] - 1) == 0:
-            k = mons[0][0].bit_length() - 1
-            elem = m.act_word(mons[0][1:], prev.gens[g].t, st0.dvec[g])
+def _hk(mon: tuple) -> Optional[int]:
+    """k when ``mon`` is the bare Sq^{2^k} (an h_k edge), else None."""
+    if len(mon) == 1 and mon[0] & (mon[0] - 1) == 0:
+        return mon[0].bit_length() - 1
+    return None
+
+
+def _label_for(s: int, t: int, entries: tuple, prev: _Stage, m: GradedModule,
+               ordinal: int) -> str:
+    # Rule 1: an h_k edge (one entry holds at most one); the earliest source wins.
+    for g, sq in entries:
+        for mon in sq.terms:
+            k = _hk(mon)
+            if k is not None:
+                return _h_label(k, prev.gens[g].label)
+    # Rule 2: one composite entry starting with a 2-power, traced into the module.
+    if s == 1 and len(entries) == 1 and len(entries[0][1].terms) == 1:
+        (g, sq), = entries
+        mon, = sq.terms
+        k = _hk(mon[:1])
+        if k is not None:
+            elem = m.act_word(mon[1:], prev.gens[g].t, prev.dvec[g])
             if elem:
-                name = m.element_name(prev.gens[g].t + sum(mons[0][1:]), elem)
-                return _h_label(k, name)
+                return _h_label(k, m.element_name(prev.gens[g].t + sum(mon[1:]), elem))
     return f"[{s},{t}]" if ordinal == 0 else f"[{s},{t}:{ordinal}]"
 
 
@@ -389,9 +383,6 @@ class ExtChart:
                       default=0)
         return s_bound <= self.max_s and stem + s_bound <= self.max_t
 
-    def with_annotations(self, *notes: str) -> "ExtChart":
-        return replace(self, annotations=self.annotations + notes)
-
     def to_json(self) -> dict:
         return {
             "max_s": self.max_s,
@@ -435,26 +426,23 @@ def ext_chart(res: FreeResolution,
     dims count generators; an h_k edge joins generators whose
     differential entry contains the bare monomial Sq^{2^k}.
     """
-    dims: dict = {}
     labels: dict = {}
     at: dict = {}
     for s, stage in enumerate(res.stages):
         for g in stage:
-            i = dims.get((s, g.t), 0)
-            dims[(s, g.t)] = i + 1
-            labels.setdefault((s, g.t), [])
-            labels[(s, g.t)].append(g.label)
-            at[(s, g.index)] = (s, g.t, i)
+            spot = labels.setdefault((s, g.t), [])
+            at[(s, g.index)] = (s, g.t, len(spot))
+            spot.append(g.label)
+    dims = {k: len(v) for k, v in labels.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
     products: dict[int, list] = {0: [], 1: [], 2: []}
     for s in range(1, res.max_s + 1):
         for i, entries in res.diff[s].items():
             for j, sq in entries:
                 for mon in sq.terms:
-                    if len(mon) == 1 and mon[0] & (mon[0] - 1) == 0:
-                        k = mon[0].bit_length() - 1
-                        if k in products:
-                            products[k].append((at[(s - 1, j)], at[(s, i)]))
+                    k = _hk(mon)
+                    if k in products:
+                        products[k].append((at[(s - 1, j)], at[(s, i)]))
     m = res.module
     # A window module is the truncation quotient at the window top, so
     # Ext is the untruncated answer exactly in stems <= hi - 1.
@@ -470,6 +458,11 @@ def ext_chart(res: FreeResolution,
         torsion_free_top_stems=frozenset(torsion_free_top_stems))
 
 
+def _at_boundary(chart: ExtChart, spot: tuple) -> bool:
+    """Whether a class sits in the chart's top row or last column."""
+    return spot[0] >= chart.max_s or spot[1] >= chart.max_t
+
+
 def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> list[dict]:
     """All possible Adams d_r arrows between nonzero spots, source stem in window.
 
@@ -481,20 +474,20 @@ def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> l
     rectangle top), a nonzero d_r would make h_0^L of a tower class
     vanish, which it cannot.
     """
-    h0_next = {a: b for a, b in chart.products.get(0, ())}
-    tower_spots: set[tuple[int, int, int]] = set()
+    # h0 edges keep the stem and h0_next is a function, so every class on
+    # an h0 run has the run's top; each class is judged by its own top.
+    h0_next = dict(chart.products.get(0, ()))
+    tower_spots: set[tuple[int, int]] = set()
     finite_sources: set[tuple[int, int, int]] = set()
     for (s, t), d in chart.dims.items():
         for i in range(d):
-            run = [(s, t, i)]
-            while run[-1] in h0_next:
-                run.append(h0_next[run[-1]])
-            s_top, t_top = run[-1][0], run[-1][1]
-            if s_top >= chart.max_s or t_top >= chart.max_t:
-                if (t - s) in chart.torsion_free_top_stems:
-                    tower_spots.update((s2, t2) for s2, t2, _ in run)
-            else:
+            top = (s, t, i)
+            while top in h0_next:
+                top = h0_next[top]
+            if not _at_boundary(chart, top):
                 finite_sources.add((s, t, i))
+            elif t - s in chart.torsion_free_top_stems:
+                tower_spots.add((s, t))
 
     arrows = []
     lo, hi = degree_window
@@ -556,8 +549,8 @@ def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
         raise RefusalError(
             f"stem {stem} lies beyond the window truncation (trusted through "
             f"{chart.trusted_stem_max})")
-    arrows = [a for a in check_no_differentials(chart, (stem, stem + 1))
-              if a["from"][0] == stem or a["to"][0] == stem]
+    # Each arrow from stem or stem + 1 starts or ends in this stem.
+    arrows = check_no_differentials(chart, (stem, stem + 1))
     if arrows:
         raise RefusalError(f"possible Adams differentials touch stem {stem}: {arrows}")
     flagged = stem in chart.torsion_free_top_stems
@@ -567,9 +560,7 @@ def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
     free = 0
     torsion = []
     for run in _strings(chart, stem):
-        s_top, t_top = run[-1][0], run[-1][1]
-        capped = s_top >= chart.max_s or t_top >= chart.max_t
-        if capped:
+        if _at_boundary(chart, run[-1]):
             if flagged:
                 free += 1
                 continue

@@ -138,6 +138,19 @@ def test_scan_monotone_above_threshold():
                 assert sc.passes(n), (case, n)
 
 
+def test_dominance_certificate_reads_the_whole_last_block(monkeypatch):
+    # A lhs that is 0 at n = 4 mod 8 and huge elsewhere fails in every
+    # block, so the certificate must fail although N lands above the last
+    # failure and the other residues of the last block pass.
+    monkeypatch.setitem(bd._FORMULAS, "spiky", lambda n: 0 if n % 8 == 4 else 10 ** 6)
+    monkeypatch.setitem(bd.SCAN_CASES, "spiky",
+                        bd.ScanCase("spiky", (0, 1, 4), "none", 26, 1, "spiky"))
+    result = bd.threshold_scan("spiky", 256)
+    assert result.N == 253
+    assert not result.dominance.certified
+    assert result.dominance.min_tail_margin == -bd.SCAN_CASES["spiky"].rhs(252)
+
+
 def fraction_condition3_holds(k, l):
     # condition (3) exactly as stated, in Fractions
     b = bd.vanishing_params(l).b

@@ -157,7 +157,7 @@ def test_module_fields_are_read_by_type(tmp_path, capsys, field, value):
 def test_module_names_are_strings_and_keys_are_known(tmp_path, capsys, where, key, value):
     # A number where a name belongs is not turned into a name, and a key
     # the format does not have (a typo included) is not dropped.
-    obj = json.loads(open(_module_file(tmp_path), encoding="utf-8").read())
+    obj = json.loads(Path(_module_file(tmp_path)).read_text(encoding="utf-8"))
     {"module": obj, "cell": obj["cells"][0], "edge": obj["edges"][0]}[where][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -338,6 +338,34 @@ def test_stems_override_file(tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     code, out, _ = run(capsys, "--stems", str(path), "stems", "query", "--stem", "7")
     assert code == 0 and "sigma-alt" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "9", "--stems", "/nonexistent"),
+    ("--stems", "/nonexistent", "classify", "--n", "9"),
+    ("bounds", "scan", "--case", "d1", "--stems", "/nonexistent"),
+    ("ext", "--module", "builtin:Z", "--n", "3", "--stems", "/nonexistent"),
+])
+def test_stems_flag_outside_stems_query_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --stems applies only to stems query\n"
+
+
+def test_stems_query_takes_stem_or_product_not_both(capsys):
+    code, out, err = run(capsys, "stems", "query", "--stem", "7", "--product", "eta", "eta")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--stem" in err and "--product" in err
+
+
+@pytest.mark.parametrize("n, noted", [("15", True), ("16", False)])
+def test_massey_note_only_for_odd_cells(capsys, n, noted):
+    argv = ("ext", "--module", "builtin:d2-sphere", "--n", n, "--max-s", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and (cli.MASSEY_NOTE in out) == noted
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["chart"]["annotations"] == ([cli.MASSEY_NOTE] if noted else [])
 
 
 def test_chart_cache_env(tmp_path, capsys, monkeypatch):

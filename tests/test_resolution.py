@@ -430,18 +430,41 @@ def test_refusals():
     # beyond the truncation trust region
     _, d2 = ep.d2_splitting_summands(16)
     ch = rs.ext_chart(rs.minimal_resolution(d2, 5, 38))
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="stem 33 lies beyond the window truncation"):
         rs.homotopy_from_chart(ch, 33)
-    # a tower column without the torsion-free flag
+    # a tower column without the torsion-free flag: its arrows are not
+    # ruled out by h0-linearity, so the arrow check refuses it first
     o = sm.builtin("o:0", 16)
     ch = rs.ext_chart(rs.minimal_resolution(sm.tensor(o, o, (30, 33)), 6, 37))
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="possible Adams differentials touch stem 30"):
         rs.homotopy_from_chart(ch, 30)
     # a synthetic chart with a live differential
     syn = rs.ExtChart(5, 12, {(0, 9): 1, (2, 10): 1}, {}, {},
                       cell_degrees=(5,), stage_min_degree=(5, 12, 12, 12, 12, 12))
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="possible Adams differentials touch stem 8"):
         rs.homotopy_from_chart(syn, 8)
+
+
+def test_h0_string_refusals():
+    # One h0 string up stem 3 to the top row: a tower unless flagged.
+    up = {0: (((1, 4, 0), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
+    tower = rs.ExtChart(3, 10, {(1, 4): 1, (2, 5): 1, (3, 6): 1}, {}, up, cell_degrees=(0,))
+    with pytest.raises(RefusalError, match="h0 string in stem 3 reaches the computed boundary"):
+        rs.homotopy_from_chart(tower, 3)
+    flagged = replace(tower, torsion_free_top_stems=frozenset({3}))
+    assert rs.homotopy_from_chart(flagged, 3) == AbelianGroup.Z
+    # Two classes at (1, 4) with an h0 edge to the same class merge.
+    merge = {0: (((1, 4, 0), (2, 5, 0)), ((1, 4, 1), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
+    branched = replace(tower, dims={(1, 4): 2, (2, 5): 1, (3, 6): 1}, products=merge)
+    with pytest.raises(RefusalError, match="h0 structure in stem 3 branches"):
+        rs.homotopy_from_chart(branched, 3)
+
+
+def test_uncertified_column_refused():
+    # Z's bottom cell sits in stem 3, so no certificate covers that column.
+    ch = rs.ext_chart(rs.minimal_resolution(sm.builtin("Z", 3), 6, 14))
+    with pytest.raises(RefusalError, match="stem 3 column is not certified complete"):
+        rs.homotopy_from_chart(ch, 3)
 
 
 def test_certified_sphere_stems_match_the_stems_table():
