@@ -10,7 +10,7 @@ packing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractViolationError
 
@@ -99,19 +99,50 @@ def reduce(piv: dict[int, int], v: int) -> int:
     return out
 
 
-def _back_substitute(piv: dict[int, int], cols: list[int]) -> list[int]:
-    """Clear the pivot columns ``cols`` (sorted) from the rows ``piv`` holds for them.
+def tagged_echelon(rows: Iterable[int], width: int) -> tuple[dict[int, int], list[int]]:
+    """``echelon`` of rows of ``width`` bits, and the relations among them.
 
-    Rows with pivots beyond c are already reduced, so clearing one pivot
-    bit never sets another; going in decreasing column order suffices.
+    Row i carries the tag bit ``width + i`` through the same XORs, so a
+    row whose bits below ``width`` cancel stops at its tags: shifted down,
+    they are a relation.  Each one's top bit is its own row's, and there
+    are as many as rows less the rank, so they are a basis of the
+    relations.  The pivot table is ``echelon(rows)``.
     """
-    mask = sum(1 << c for c in cols)
-    for c in reversed(cols):
-        row = piv[c]
-        for b in _bits((row & mask) ^ (1 << c)):
-            row ^= piv[b]
-        piv[c] = row
-    return [piv[c] for c in cols]
+    piv: dict[int, int] = {}
+    rels: list[int] = []
+    tag = 1 << width
+    for row in rows:
+        row |= tag
+        tag <<= 1
+        while True:
+            c = (row & -row).bit_length() - 1
+            other = piv.get(c)  # no pivot lies in the tag block
+            if other is None:
+                break
+            row ^= other
+        if c < width:
+            piv[c] = row
+        else:
+            rels.append(row >> width)
+    mask = (1 << width) - 1
+    return {c: row & mask for c, row in piv.items()}, rels
+
+
+def reduced_basis(vectors: Iterable[int]) -> Iterator[int]:
+    """The unique reduced echelon basis of the span of ``vectors``, in increasing pivot order.
+
+    A vector's pivot is its lowest set bit.  After ``echelon``, the row
+    for pivot c has only bits above c besides, so clearing its lowest
+    pivot bit over and over uses rows above c only.  The vectors are
+    yielded one at a time; a caller that stops early pays for no more.
+    """
+    piv = echelon(vectors)
+    mask = sum(1 << c for c in piv)
+    for c in sorted(piv):
+        row = piv[c] ^ 1 << c
+        while low := row & mask:
+            row ^= piv[(low & -low).bit_length() - 1]
+        yield row | 1 << c
 
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
@@ -122,11 +153,10 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     column.  A final back-substitution clears pivot columns everywhere,
     so the result is the (unique) RREF; the row space is preserved.
     """
-    piv = echelon(m.data)
-    cols = sorted(piv)
-    out_rows = _back_substitute(piv, cols)
+    out_rows = list(reduced_basis(m.data))
+    cols = tuple(_low_bit(r) for r in out_rows)
     out_rows.extend([0] * (m.rows - len(out_rows)))
-    return F2Matrix(m.rows, m.cols, tuple(out_rows)), tuple(cols)
+    return F2Matrix(m.rows, m.cols, tuple(out_rows)), cols
 
 
 @dataclass(frozen=True)
@@ -163,16 +193,10 @@ def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
 def relations(rows: Sequence[int], width: int) -> list[int]:
     """{x : XOR of rows[i] over the set bits of x is 0}, as a reduced echelon basis.
 
-    One forward elimination of ``[rows | identity]`` (Bruner 1989).  A
-    row whose pivot lies in the identity block has no bits in the first
-    ``width`` columns, so back-substituting those rows among themselves
-    gives their reduced form; the other rows are left unreduced.  Shifted
-    down by ``width``, they are the unique reduced echelon basis of the
-    relations, listed in increasing pivot order.
+    ``reduced_basis`` of the relations ``tagged_echelon`` finds (Bruner
+    1989), in increasing pivot order; the resolver reads its kernels so.
     """
-    piv = echelon(r | 1 << (width + i) for i, r in enumerate(rows))
-    cols = sorted(c for c in piv if c >= width)
-    return [row >> width for row in _back_substitute(piv, cols)]
+    return list(reduced_basis(tagged_echelon(rows, width)[1]))
 
 
 def kernel(m: F2Matrix) -> Subspace:

@@ -5,19 +5,21 @@ Each stage records the rank of its image at every degree, so the kernel
 of the previous differential has a known dimension (previous stage's
 dimension minus that rank) before any kernel is computed.  The image of
 the decomposables at each bidegree is eliminated once, forward only,
-into a pivot table (``f2linalg.echelon``) whose size is its rank.
-Where that rank is already the kernel's dimension, no generator is
-missing and no kernel is computed.  Elsewhere the kernel is read off
-one elimination of ``[image | identity]`` (Bruner, "Calculation of
-large Ext modules", 1989); each kernel vector is reduced against the
+into a pivot table whose size is its rank; each row carries its index
+as a tag, so the rows that cancel leave relations (Bruner's
+``[image | identity]``, "Calculation of large Ext modules", 1989).
+Later generators have independent images, so the relations the stage
+keeps span its kernel, and the next stage reads its kernel basis off
+them alone (``_Stage.kernel``).  Where the table's rank is already the
+kernel's dimension, no generator is missing and no kernel is read.
+Elsewhere each kernel vector, in pivot order, is reduced against the
 table to its canonical representative (no bit in a pivot column), and
 a nonzero one becomes a new free generator's differential and joins
 the table at its lowest bit, until the image has the kernel's
 dimension; the result is minimal (no unit entries) by construction.
 Stage 0 reads the same kind of table, over the module's decomposables:
 each column that is not a pivot becomes a generator, named by its
-coset, which ``f2linalg.reduce`` of the pivot unit vectors gives.  No
-back-substituting elimination runs outside ``relations``.
+coset, which ``f2linalg.reduce`` of the pivot unit vectors gives.
 Generators are ordered by degree and then by kernel pivot, which pins
 labels and makes repeated runs identical.  Exactness is proved at
 every bidegree: stage 0 must cover the module (its own rank count),
@@ -31,9 +33,11 @@ reads none of the tables below (``sq_masks``, ``first_letters``,
 Every stage is the same kind of object, a free module whose generators
 map into a target; it acts on that target through one function, the
 module's action at stage 0 and the previous stage's Sq action after
-that (as in Bruner's scheme); a free module's action XORs one cached
-``steenrod.sq_masks`` row per set bit.  Stage s + 1 reads only stage
-s's images, so stage s - 1's images are dropped once stage s is done.
+that (as in Bruner's scheme), on a run of vectors at once: the rests
+after one first letter are a prefix of a basis, so their images are
+one slice; a free module's action XORs one cached ``steenrod.sq_masks``
+row per set bit.  Stage s + 1 reads stage s's relations but not its
+images, so those are dropped as soon as stage s is laid out.
 
 Charts record, besides dimensions and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -55,7 +59,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import InternalError, RangeError, RefusalError
@@ -102,13 +106,15 @@ class FreeResolution:
 class _Stage:
     """One free module F_s under construction, with its map into a target.
 
-    ``act(i, d, vec)`` applies Sq^i to a degree-d vector of the target:
-    the module's action at stage 0, the previous stage's ``sq`` after.
-    Degree t holds one block per generator g laid out there, in generator
-    order: the elements of ``steenrod.basis(t - g.t)`` on g, starting at
-    ``offset[t][g]``.  The list ends with the degree's dimension, so a
-    bit's generator is found by bisecting the block starts.  ``img[t]``
-    holds the image of every degree-t basis element; it is emptied once
+    ``act(i, d, vecs)`` applies Sq^i to each of a run of degree-d vectors
+    of the target: the module's action at stage 0, the previous stage's
+    ``sq`` after.  Degree t holds one block per generator g laid out
+    there, in generator order: the elements of ``steenrod.basis(t - g.t)``
+    on g, starting at ``offset[t][g]``.  The list ends with the degree's
+    dimension, so a bit's generator is found by bisecting the block
+    starts.  ``img[t]`` holds the image of every degree-t basis element,
+    and ``rels[t]`` the relations among those of its decomposables; the
+    images are emptied once the stage is laid out, the relations once
     the next stage is done.
     """
 
@@ -118,23 +124,28 @@ class _Stage:
         self.dvec: list[int] = []  # differential/augmentation vectors
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
+        self.rels: dict[int, list[int]] = {}
         self.rank: dict[int, int] = {}  # dim of the span of img[t]
 
     def dim(self, t: int) -> int:
         return self.offset.get(t, (0,))[-1]
 
-    def sq(self, i: int, d: int, vec: int) -> int:
-        """Left-multiply a degree-d vector of this free module by Sq^i."""
+    def sq(self, i: int, d: int, vecs: Sequence[int]) -> list[int]:
+        """Left-multiply each of a run of degree-d vectors of this free module by Sq^i."""
         top = self.offset.get(d + i)
         if top is None:
             raise InternalError("free module basis out of range")
-        off, gens, masks = self.offset[d], self.gens, steenrod.sq_masks
-        out = hi = 0
-        for b in _bits(vec):
-            if b >= hi:  # the first bit in a new generator's block
-                g = bisect_right(off, b) - 1
-                lo, hi, rows, shift = off[g], off[g + 1], masks(i, d - gens[g].t), top[g]
-            out ^= rows[b - lo] << shift
+        off, gens, masks, out = self.offset[d], self.gens, steenrod.sq_masks, []
+        for vec in vecs:
+            acc = hi = 0
+            while vec:
+                b = (vec & -vec).bit_length() - 1
+                if b >= hi:  # the first bit in a new generator's block
+                    g = bisect_right(off, b) - 1
+                    lo, hi, rows, shift = off[g], off[g + 1], masks(i, d - gens[g].t), top[g]
+                acc ^= rows[b - lo] << shift
+                vec &= vec - 1
+            out.append(acc)
         return out
 
     def extend(self, t: int):
@@ -142,10 +153,16 @@ class _Stage:
         offset, img = [0], []
         self.offset[t], self.img[t] = offset, img
         for gi, g in enumerate(self.gens):
-            # The image of Sq^i rest is Sq^i applied to the image of rest.
-            for i, j in steenrod.first_letters(t - g.t):
-                img.append(self.act(i, t - i, self.img[t - i][self.offset[t - i][gi] + j]))
+            # The images of Sq^i rest, for the rests in a prefix of
+            # basis(t - g.t - i), are Sq^i on one slice of img[t - i].
+            for i, n in steenrod.first_letter_runs(t - g.t):
+                lo = self.offset[t - i][gi]
+                img += self.act(i, t - i, self.img[t - i][lo:lo + n])
             offset.append(len(img))
+
+    def kernel(self, t: int) -> Iterator[int]:
+        """The reduced echelon basis, in pivot order, of this stage's kernel at degree t."""
+        return f2linalg.reduced_basis(self.rels[t])
 
     def add_generator(self, s: int, t: int, dvec: int, label: str):
         """Add a generator in degree t; only its unit element joins degree t."""
@@ -185,7 +202,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     """
     if max_s < 0 or max_t < m.lo:
         raise RangeError("empty resolution range")
-    stages = [_Stage(m.act)]
+    stages = [_Stage(lambda i, d, vecs: [m.act(i, d, v) for v in vecs])]
     for _ in range(max_s):
         stages.append(_Stage(stages[-1].sq))
 
@@ -196,9 +213,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     for t in range(m.lo, max_t + 1):
         st0.extend(t)
         dim = m.dim(t)
-        if dim == 0:
-            continue
-        piv = f2linalg.echelon(st0.img[t])
+        piv, st0.rels[t] = f2linalg.tagged_echelon(st0.img[t], dim)
         if len(piv) < dim:
             # Each free column f becomes a generator, named by its coset:
             # e_f plus every pivot e_p whose canonical representative
@@ -217,20 +232,17 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
+        prev.img = {}  # stage s reads prev's relations, not its images
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
             cur.extend(t)
             nprev = prev.dim(t)
-            if nprev == 0:
-                continue
             # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
             want = nprev - prev.rank.get(t, 0)
-            piv = f2linalg.echelon(cur.img[t])
+            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.img[t], nprev)
             if len(piv) < want:
-                # prev.img[t] lives in prev's target, the module or stage s - 2.
-                width = m.dim(t) if s == 1 else stages[s - 2].dim(t)
                 ordinal = 0
-                for kv in f2linalg.relations(prev.img[t], width):
+                for kv in prev.kernel(t):
                     red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
@@ -245,7 +257,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                         break  # every later kernel vector reduces to 0
             _check_exact(s, t, len(piv), want)
             cur.rank[t] = len(piv)
-        prev.img = {}  # only stage s's images are read from here on
+        prev.rels = {}
 
     res = FreeResolution(
         m, max_s, max_t,

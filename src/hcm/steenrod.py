@@ -262,13 +262,18 @@ def sq_masks(i: int, d: int) -> tuple[int, ...]:
             rows.append(1 << pos[(i, k)])
             continue
         row = 0
-        for c in range(i // 2 + 1):
-            if choose_mod2(a - c - 1, i - 2 * c):
-                head = sq_masks(i + a - c, d - a + c)
-                for b in _bits(sq_masks(c, d - a)[r] if c else 1 << r):
-                    row ^= head[b]
+        for c in _adem_cs(i, a):
+            head = sq_masks(i + a - c, d - a + c)
+            for b in _bits(sq_masks(c, d - a)[r] if c else 1 << r):
+                row ^= head[b]
         rows.append(row)
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _adem_cs(i: int, a: int) -> tuple[int, ...]:
+    """The c <= i/2 with C(a-c-1, i-2c) odd: the terms Sq^{i+a-c} Sq^c of Sq^i Sq^a."""
+    return tuple(c for c in range(i // 2 + 1) if choose_mod2(a - c - 1, i - 2 * c))
 
 
 @lru_cache(maxsize=None)
@@ -278,3 +283,9 @@ def first_letters(deg: int) -> tuple[tuple[int, int], ...]:
     ``rest`` is admissible, so it sits in ``basis(deg - i)``.
     """
     return tuple((mon[0], _index(deg - mon[0])[mon[1:]]) for mon in basis(deg))
+
+
+@lru_cache(maxsize=None)
+def first_letter_runs(deg: int) -> tuple[tuple[int, int], ...]:
+    """``first_letters(deg)`` in runs (i, n): Sq^i on the prefix ``basis(deg - i)[:n]``."""
+    return tuple({i: j + 1 for i, j in first_letters(deg)}.items())

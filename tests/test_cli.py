@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hcm import barpage, cli, f2linalg, render, resolution as rs, stmodule as sm
+from hcm import barpage, cli, render, resolution as rs, stmodule as sm
 
 
 def run(capsys, *argv):
@@ -90,12 +90,12 @@ def test_ext_empty_sphere_range_exit_3(capsys):
 
 
 def _drop_a_relation(monkeypatch):
-    real = f2linalg.relations
+    real = rs._Stage.kernel
 
-    def lossy(rows, width):
-        return real(rows, width)[:-1]
+    def lossy(self, t):
+        return list(real(self, t))[:-1]
 
-    monkeypatch.setattr(f2linalg, "relations", lossy)
+    monkeypatch.setattr(rs._Stage, "kernel", lossy)
 
 
 def _corrupt_a_known_row(monkeypatch):

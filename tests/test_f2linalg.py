@@ -228,6 +228,40 @@ def test_transpose_involution():
         assert to_lists(t) == [[entries[i][j] for i in range(rows)] for j in range(cols)]
 
 
+def full_rref_relations(rows, width):
+    """The rows of the full RREF of [rows | I] that pivot in the identity block."""
+    nrows = len(rows)
+    aug = [[(r >> j) & 1 for j in range(width)] + [int(i == k) for k in range(nrows)]
+           for i, r in enumerate(rows)]
+    red, pivots = naive_rref(aug, width + nrows)
+    return [sum(b << j for j, b in enumerate(row[width:]))
+            for row, p in zip(red, pivots) if p >= width]
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, random.Random(0))
+@example(5, 0, random.Random(0))
+def test_tagged_echelon_matches_echelon_and_a_full_rref(nrows, width, rng):
+    # about a quarter of the rows are zero and some repeat an earlier row,
+    # so relations are common
+    rows = []
+    for _ in range(nrows):
+        x = rng.random()
+        rows.append(0 if x < 0.25 else rng.choice(rows) if rows and x < 0.4
+                    else rng.getrandbits(width))
+    piv, rels = f2.tagged_echelon(rows, width)
+    assert {c: row & ((1 << width) - 1) for c, row in piv.items()} == f2.echelon(rows)
+    assert len(rels) == nrows - len(piv)
+    for rel in rels:
+        acc = 0
+        for i in range(nrows):
+            if (rel >> i) & 1:
+                acc ^= rows[i]
+        assert acc == 0
+    assert list(f2.reduced_basis(rels)) == full_rref_relations(rows, width)
+
+
 @given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 @example(0, 0, random.Random(0))
@@ -235,12 +269,7 @@ def test_transpose_involution():
 def test_relations_and_rank_match_a_full_rref(nrows, width, rng):
     # about a quarter of the rows are zero, so relations are common
     rows = [rng.getrandbits(width) if rng.random() < 0.75 else 0 for _ in range(nrows)]
-    # relations: the rows of the full RREF of [rows | I] that pivot in the identity block
-    aug = [[(r >> j) & 1 for j in range(width)] + [int(i == k) for k in range(nrows)]
-           for i, r in enumerate(rows)]
-    red, pivots = naive_rref(aug, width + nrows)
-    want = [sum(b << j for j, b in enumerate(row[width:]))
-            for row, p in zip(red, pivots) if p >= width]
+    want = full_rref_relations(rows, width)
     got = f2.relations(rows, width)
     assert got == want and all(v >> nrows == 0 for v in got)
     m = f2.F2Matrix(nrows, width, tuple(rows))

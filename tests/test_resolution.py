@@ -266,9 +266,10 @@ def test_verify_reads_no_mask_table(monkeypatch):
     def forbidden(*args):
         raise AssertionError("verify read a resolver table")
 
-    monkeypatch.setattr(steenrod, "sq_masks", forbidden)
-    monkeypatch.setattr(steenrod, "first_letters", forbidden)
-    for cached in (steenrod.mask_product, steenrod._left_mul, steenrod._index):
+    for table in ("sq_masks", "first_letters", "first_letter_runs", "_adem_cs"):
+        monkeypatch.setattr(steenrod, table, forbidden)
+    for cached in (steenrod.mask_product, steenrod._left_mul, steenrod._adem_pair,
+                   steenrod._index):
         cached.cache_clear()
     assert rs.verify(res) == []
 
@@ -539,29 +540,29 @@ def test_chart_digests_pinned(make, max_s, max_t, digest):
 
 
 def test_exactness_check_catches_a_missing_generator(monkeypatch):
-    # Dropping one relation per bidegree leaves d.d = 0 and minimality
+    # Dropping one kernel vector per bidegree leaves d.d = 0 and minimality
     # intact, so only the rank check can see the missing generators.
-    real = f2linalg.relations
+    real = rs._Stage.kernel
 
-    def lossy(rows, width):
-        return real(rows, width)[:-1]
+    def lossy(self, t):
+        return list(real(self, t))[:-1]
 
-    monkeypatch.setattr(f2linalg, "relations", lossy)
+    monkeypatch.setattr(rs._Stage, "kernel", lossy)
     with pytest.raises(InternalError, match="not exact"):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
 
 
 def test_relations_only_where_a_generator_is_missing(monkeypatch):
-    # The recorded ranks give each kernel's dimension, so a kernel is
-    # computed only at bidegrees that gain a generator.
-    real = f2linalg.relations
+    # The recorded ranks give each kernel's dimension, so a kernel basis is
+    # read off the kept relations only at bidegrees that gain a generator.
+    real = rs._Stage.kernel
     calls = []
 
-    def counted(rows, width):
-        calls.append(width)
-        return real(rows, width)
+    def counted(self, t):
+        calls.append(t)
+        return real(self, t)
 
-    monkeypatch.setattr(f2linalg, "relations", counted)
+    monkeypatch.setattr(rs._Stage, "kernel", counted)
     res = rs.minimal_resolution(sm.sphere_module(20), 6, 20)
     gaining = {(g.s, g.t) for st in res.stages[1:] for g in st}
     assert len(calls) == len(gaining) == 37
@@ -569,9 +570,9 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
 
 def test_full_elimination_only_where_a_generator_is_missing(monkeypatch):
     # Every stage grows one forward echelon per bidegree, stage 0 names its
-    # generators' cosets through reduce, and relations back-substitutes only
-    # its identity block, so neither rref nor span runs, not even where a
-    # stage-0 label is a sum over a coset.
+    # generators' cosets through reduce, and a kernel is reduced from the
+    # relations that echelon kept, so neither rref nor span runs, not even
+    # where a stage-0 label is a sum over a coset.
     calls = []
 
     def counted(name):
@@ -597,10 +598,10 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch):
     # A "kernel" that is the whole ambient space yields generators whose
     # differential is not a cycle; stopping early at the kernel's
     # dimension must not hide them.
-    def everything(rows, width):
-        return [1 << i for i in range(len(rows))]
+    def everything(self, t):
+        return [1 << i for i in range(self.dim(t))]
 
-    monkeypatch.setattr(f2linalg, "relations", everything)
+    monkeypatch.setattr(rs._Stage, "kernel", everything)
     with pytest.raises(InternalError):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
 
@@ -612,10 +613,11 @@ def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
     # Oracle: each basis element is a (generator, monomial) pair at a
     # position that the layout convention fixes (generators in order, each
     # with steenrod.basis of its relative degree), and Sq^i acts through
-    # monomial_product, with no mask table involved.  ``entries`` must
-    # group the same pairs by generator, in basis order.
+    # monomial_product, with no mask table involved.  ``sq`` takes a run of
+    # vectors, and ``entries`` must group the same pairs by generator, in
+    # basis order.
     degrees, top = sorted(degrees), 21
-    stage = rs._Stage(lambda i, d, vec: 0)
+    stage = rs._Stage(lambda i, d, vecs: [0] * len(vecs))
     for t in range(top + 1):
         stage.extend(t)
         for gt in degrees:
@@ -628,15 +630,22 @@ def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
         pos[t] = {key: p for p, key in enumerate(keys)}
         assert stage.dim(t) == len(keys)
     at = {p: key for key, p in pos[d].items()}
-    vec = rng.getrandbits(stage.dim(d))
-    want, groups = 0, {}
-    for b in range(stage.dim(d)):
-        if (vec >> b) & 1:
-            gi, mon = at[b]
-            groups.setdefault(gi, []).append(mon)
-            for m2 in steenrod.monomial_product((i,), mon).terms:
-                want ^= 1 << pos[d + i][(gi, m2)]
-    assert stage.sq(i, d, vec) == want
-    assert stage.entries(d, vec) == groups
+
+    def oracle(vec):
+        want, groups = 0, {}
+        for b in range(stage.dim(d)):
+            if (vec >> b) & 1:
+                gi, mon = at[b]
+                groups.setdefault(gi, []).append(mon)
+                for m2 in steenrod.monomial_product((i,), mon).terms:
+                    want ^= 1 << pos[d + i][(gi, m2)]
+        return want, groups
+
+    run = [rng.getrandbits(stage.dim(d)) for _ in range(3)] + [0]
+    wants = [oracle(vec)[0] for vec in run]
+    assert stage.sq(i, d, run) == wants
+    assert stage.sq(i, d, run[:1]) == wants[:1]
+    assert stage.sq(i, d, []) == []
+    assert stage.entries(d, run[0]) == oracle(run[0])[1]
     with pytest.raises(InternalError, match="out of range"):
-        stage.sq(1, top, 1)
+        stage.sq(1, top, [1])
