@@ -220,11 +220,9 @@ def table1(from_n: int, to_n: int) -> list[TableRow]:
     """Rows (n, 2M1-3, 0.4n + 5.2) with printed-value cross-checks."""
     if from_n > to_n:
         raise ContractViolationError("empty range")
-    return [
-        TableRow(n, _FORMULAS["2M1-3"](n), Fraction(2 * n + 26, 5),
-                 PRINTED_2M1_MINUS_3.get(n))
-        for n in range(from_n, to_n + 1)
-    ]
+    d1 = SCAN_CASES["d1"]
+    return [TableRow(n, d1.lhs(n), d1.rhs(n), PRINTED_2M1_MINUS_3.get(n))
+            for n in range(from_n, to_n + 1)]
 
 
 # -- threshold scans ----------------------------------------------------------

@@ -9,11 +9,11 @@ boundary questions).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, NotFoundError, UnsupportedError
+from .errors import (InputError, NotFoundError, UnsupportedError, fields, listed, read_json,
+                     typed)
 from .groups import AbelianGroup
 from .stems_data import BUNDLED_STEMS
 
@@ -95,63 +95,56 @@ class StemDatabase:
         raise NotFoundError(f"no recorded product {ca} * {cb}")
 
 
-def _parse_generator(obj, where: str) -> GeneratorInfo:
-    try:
-        return GeneratorInfo(
-            label=str(obj["label"]),
-            aliases=tuple(str(a) for a in obj.get("aliases", ())),
-            im_j=bool(obj.get("im_j", False)),
-            mu_family=bool(obj.get("mu_family", False)))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad generator entry at {where}: {exc}") from exc
-
-
 def parse_stems(data: dict) -> StemDatabase:
-    """Validate the JSON-shaped schema and build the database."""
-    if not isinstance(data, dict) or "stems" not in data:
-        raise InputError("stems data must be an object with a 'stems' list")
-    records = {}
-    for pos, rec in enumerate(data["stems"]):
-        where = f"stems[{pos}]"
-        try:
-            k = int(rec["k"])
-            orders = tuple(sorted((int(x) for x in rec["cyclic_orders"]), reverse=True))
-            gens = tuple(_parse_generator(g, where) for g in rec.get("generators", ()))
-            im_j_order = int(rec.get("im_j_order", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad stem record at {where}: {exc}") from exc
-        if len(gens) != len(orders):
-            raise InputError(f"{where}: {len(orders)} cyclic factors but {len(gens)} generators")
-        records[k] = StemRecord(
-            k=k, group=AbelianGroup(0, orders), generators=gens, im_j_order=im_j_order,
-            relations=tuple(rec.get("relations", ())),
-            notes=tuple(rec.get("notes", ())))
-    products = []
-    sources = [("products", data.get("products", ()))]
-    sources += [(f"stems[{pos}].products", rec.get("products", ()))
-                for pos, rec in enumerate(data["stems"])]
-    for where, plist in sources:
-        for pos, p in enumerate(plist):
-            try:
-                products.append(ProductFact(str(p["a"]), str(p["b"]), str(p["result"]),
-                                            str(p.get("note", ""))))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad product entry at {where}[{pos}]: {exc}") from exc
+    """Build the database from the JSON schema; each value is read by its exact
+    JSON type, and a wrong type, a missing key or an unknown one is ``InputError``."""
+    try:
+        data = fields(data, ("schema", "stems", "products"), "the stems data")
+        typed(data.get("schema", 1), int, "schema")
+        records, products = {}, []
+        plists = [("products", data.get("products", []))]
+        for pos, rec in enumerate(typed(data["stems"], list, "stems")):
+            where = f"stems[{pos}]"
+            rec = fields(rec, ("k", "cyclic_orders", "im_j_order", "generators", "relations",
+                               "notes", "products"), where)
+            orders = tuple(sorted(listed(rec["cyclic_orders"], int, "cyclic_orders"),
+                                  reverse=True))
+            gens = []
+            for i, g in enumerate(typed(rec.get("generators", []), list, "generators")):
+                g = fields(g, ("label", "aliases", "im_j", "mu_family"),
+                           f"{where}.generators[{i}]")
+                gens.append(GeneratorInfo(
+                    typed(g["label"], str, "label"), listed(g.get("aliases", []), str, "aliases"),
+                    typed(g.get("im_j", False), bool, "im_j"),
+                    typed(g.get("mu_family", False), bool, "mu_family")))
+            if len(gens) != len(orders):
+                raise ValueError(f"{where}: {len(orders)} cyclic factors but {len(gens)} generators")
+            relations = typed(rec.get("relations", []), list, "relations")
+            for i, rel in enumerate(relations):
+                rel = fields(rel, ("label", "sum", "im_j"), f"{where}.relations[{i}]")
+                typed(rel["label"], str, "label")
+                listed(rel["sum"], str, "sum")
+                typed(rel.get("im_j", False), bool, "im_j")
+            k = typed(rec["k"], int, "k")
+            records[k] = StemRecord(
+                k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
+                im_j_order=typed(rec.get("im_j_order", 1), int, "im_j_order"),
+                relations=tuple(relations), notes=listed(rec.get("notes", []), str, "notes"))
+            plists.append((f"{where}.products", rec.get("products", [])))
+        for where, plist in plists:
+            for pos, p in enumerate(typed(plist, list, "products")):
+                p = fields(p, ("a", "b", "result", "note"), f"{where}[{pos}]")
+                products.append(ProductFact(
+                    typed(p["a"], str, "a"), typed(p["b"], str, "b"),
+                    typed(p["result"], str, "result"), typed(p.get("note", ""), str, "note")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad stems JSON: {exc}") from exc
     return StemDatabase(records, tuple(products))
 
 
 def load_stems(path: Optional[str] = None) -> StemDatabase:
     """Bundled records, or a JSON file following the same schema."""
-    if path is None:
-        return parse_stems(BUNDLED_STEMS)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read stems file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"stems file is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    return parse_stems(data)
+    return parse_stems(BUNDLED_STEMS if path is None else read_json(path, "stems"))
 
 
 # -- theorem database ----------------------------------------------------------

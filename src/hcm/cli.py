@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: ext, d2, bar-e1, bounds (table|scan|check), classify,
-stems (query).  Data goes to stdout (or --out), diagnostics to stderr.
-Exit codes: 0 success, 2 bad input, 3 out of range, 4 refusal to
-assemble, 5 a failed self-check of the engine.  Set HCM_CACHE_DIR to cache chart computations between runs.
+stems (query).  Data goes to stdout (or --out), diagnostics to stderr:
+each ``cmd_*`` returns a JSON payload (dict) or text (str), and ``main``
+alone stamps the schema and writes it.  Exit codes: 0 success, 2 bad
+input, 3 out of range, 4 refusal to assemble, 5 a failed self-check of
+the engine.  Set HCM_CACHE_DIR to cache chart computations between
+runs; only an exact entry is served, and anything else is recomputed.
 
 Each command imports only the engine modules it runs: a process serves
 one command, and most commands need one module.
@@ -18,7 +21,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .errors import HcmError, InputError, RangeError
+from .errors import HcmError, InputError, RangeError, read_json
 
 if TYPE_CHECKING:
     from .resolution import ExtChart
@@ -27,22 +30,6 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 MASSEY_NOTE = "<h1, h0, bottom square> = h1·Q1 on the quadratic chart of an odd cell"
-
-
-def _emit(args, text: str):
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-    else:
-        print(text)
-
-
-def _emit_json(args, payload: dict):
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _frac_str(x) -> str:
@@ -98,14 +85,7 @@ def _load_module(spec: str, n: Optional[int],
         return make(extpower, n)
     if n is not None:
         raise InputError(f"--n does not apply to a module file ({spec!r})")
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read module file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"module file {spec!r}: bad JSON at line {exc.lineno}") from exc
-    return stmodule.from_json(data)
+    return stmodule.from_json(read_json(spec, "module"))
 
 
 def _warn(module: GradedModule) -> None:
@@ -118,7 +98,6 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
     from . import resolution
 
     cache_dir = os.environ.get("HCM_CACHE_DIR")
-    key = None
     if cache_dir:
         import hashlib
 
@@ -128,12 +107,15 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
         try:
             with open(key, "r", encoding="utf-8") as fh:
-                return resolution.chart_from_json(json.load(fh))
+                entry = json.load(fh)
+            chart = resolution.chart_from_json(entry)
+            if chart.to_json() == entry:  # only an exact entry is served
+                return chart
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             pass  # a missing, unreadable or invalid entry is a miss; rewritten below
     res = resolution.minimal_resolution(module, max_s, max_t)
     chart = resolution.ext_chart(res)
-    if key:
+    if cache_dir:
         tmp = f"{key}.{os.getpid()}.tmp"
         try:
             os.makedirs(cache_dir, exist_ok=True)
@@ -151,29 +133,23 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_ext(args) -> int:
+def cmd_ext(args) -> dict | str:
     module = _load_module(args.module, args.n, max_t=args.max_t)
     _warn(module)
     max_t = args.max_t if args.max_t is not None else module.hi + args.max_s
-    max_s = args.max_s
-    chart = _cached_chart(module, max_s, max_t)
+    chart = _cached_chart(module, args.max_s, max_t)
     if args.module == "builtin:d2-sphere" and args.n % 2:
         from dataclasses import replace
 
         chart = replace(chart, annotations=chart.annotations + (MASSEY_NOTE,))
     if args.json:
-        _emit_json(args, {"chart": chart.to_json()})
-        return 0
+        return {"chart": chart.to_json()}
     from . import render
 
-    if args.format == "svg":
-        _emit(args, render.svg_chart(chart))
-    else:
-        _emit(args, render.ascii_chart(chart))
-    return 0
+    return render.svg_chart(chart) if args.format == "svg" else render.ascii_chart(chart)
 
 
-def cmd_d2(args) -> int:
+def cmd_d2(args) -> dict | str:
     if (args.lo is None) != (args.hi is None):
         raise InputError("give both --lo and --hi, or neither")
     if args.lo is not None and args.lo > args.hi:
@@ -193,69 +169,61 @@ def cmd_d2(args) -> int:
 
     d2 = extpower.d2_homology(base, window, square_style=args.square_style)
     if args.json:
-        _emit_json(args, {"module": d2.to_json(),
-                          "edges": [list(e) for e in extpower.derived_edges(d2)]})
-    else:
-        lines = [f"quadratic extended power, window [{d2.lo}, {d2.hi}]"]
-        for d in range(d2.lo, d2.hi + 1):
-            if d2.dim(d):
-                lines.append(f"  {d}: " + ", ".join(d2.labels(d)))
-        lines.append("action (homology, degree-lowering):")
-        for k, src, dst in extpower.derived_edges(d2):
-            lines.append(f"  Sq_{k}: {src} -> {dst}")
-        _emit(args, "\n".join(lines))
-    return 0
+        return {"module": d2.to_json(), "edges": [list(e) for e in extpower.derived_edges(d2)]}
+    lines = [f"quadratic extended power, window [{d2.lo}, {d2.hi}]"]
+    for d in range(d2.lo, d2.hi + 1):
+        if d2.dim(d):
+            lines.append(f"  {d}: " + ", ".join(d2.labels(d)))
+    lines.append("action (homology, degree-lowering):")
+    for k, src, dst in extpower.derived_edges(d2):
+        lines.append(f"  Sq_{k}: {src} -> {dst}")
+    return "\n".join(lines)
 
 
-def cmd_bar_e1(args) -> int:
+def cmd_bar_e1(args) -> dict | str:
     from . import barpage
 
     page = barpage.e1_page(args.n)
     if args.json:
-        _emit_json(args, page.to_json())
-        return 0
+        return page.to_json()
     n = args.n
     lines = [f"bar E1 page near degree {2 * n} (n = {n}, n mod 8 = {page.residue})"]
     for (s, total) in sorted(page.entries, reverse=True):
         parts = " + ".join(str(x) for x in page.entry(s, total))
         lines.append(f"  s={s}  t+s={total}:  {parts}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_bounds_table(args) -> int:
+def cmd_bounds_table(args) -> dict | str:
     from . import bounds
 
     rows = bounds.table1(args.from_n, args.to_n)
     if args.json:
-        _emit_json(args, {"rows": [
+        return {"rows": [
             {"n": r.n, "lhs": r.lhs, "rhs": str(r.rhs), "verdict": r.verdict,
-             "printed": r.printed, "discrepancy": r.discrepancy} for r in rows]})
-        return 0
+             "printed": r.printed, "discrepancy": r.discrepancy} for r in rows]}
     if args.csv:
         lines = ["n,2M1-3,rhs_decimal,rhs_fraction,verdict,marker"]
         for r in rows:
             marker = "paper-discrepancy" if r.discrepancy else ""
             lines.append(f"{r.n},{r.lhs},{_frac_str(r.rhs)},{r.rhs},"
                          f"{'pass' if r.verdict else 'fail'},{marker}")
-        _emit(args, "\n".join(lines))
-        return 0
+        return "\n".join(lines)
     lines = ["  n   2M1-3   0.4n+5.2   verdict"]
     for r in rows:
         mark = "  [paper-discrepancy: printed %d]" % r.printed if r.discrepancy else ""
         lines.append(f"{r.n:>3}   {r.lhs:>5}   {_frac_str(r.rhs):>8}   "
                      f"{'pass' if r.verdict else 'fail'}{mark}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_bounds_scan(args) -> int:
+def cmd_bounds_scan(args) -> dict | str:
     from . import bounds
 
     case = args.case.replace("-", "_")
     result = bounds.threshold_scan(case, args.horizon)
     if args.json:
-        _emit_json(args, {
+        return {
             "case": result.case, "N": result.N, "horizon": result.horizon,
             "citation": result.citation, "matches_stated": result.matches_stated,
             "dominance": {
@@ -263,8 +231,7 @@ def cmd_bounds_scan(args) -> int:
                 "rhs_block_growth": str(result.dominance.rhs_block_growth),
                 "min_tail_margin": str(result.dominance.min_tail_margin),
                 "certified": result.dominance.certified},
-            "condition3": result.condition3})
-        return 0
+            "condition3": result.condition3}
     extra = "" if result.matches_stated else f" (stated: {result.stated_n})"
     lines = [f"N = {result.N} (paper: {result.citation}){extra}",
              f"dominance certificate: {'passes' if result.dominance.certified else 'FAILS'} "
@@ -277,11 +244,10 @@ def cmd_bounds_scan(args) -> int:
     if case == "d1":
         lines.append("note: statement quotes n >= 28, proof concludes n >= 26; "
                      "the scan reports the formula-true value")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_bounds_check(args) -> int:
+def cmd_bounds_check(args) -> dict | str:
     from fractions import Fraction
 
     from . import bounds
@@ -292,28 +258,26 @@ def cmd_bounds_check(args) -> int:
         raise InputError(f"--s must be a rational number such as 5/2, got {args.s!r}") from None
     report = bounds.check_af_j(args.k, s, args.l)
     if args.json:
-        _emit_json(args, {
+        return {
             "k": report.k, "s": str(report.s), "l": report.l,
             "all_hold": report.all_hold,
             "conditions": [
                 {"name": c.name, "holds": c.holds, "lhs": str(c.lhs),
                  "rhs": str(c.rhs), "margin": str(c.margin)}
-                for c in report.conditions]})
-        return 0
+                for c in report.conditions]}
     lines = [f"k={report.k} s={report.s} l={report.l}: "
              f"{'all conditions hold' if report.all_hold else 'FAILS'}"]
     for c in report.conditions:
         lines.append(f"  {c.name}: {c.lhs} >= {c.rhs}  "
                      f"{'ok' if c.holds else 'fails'} (margin {c.margin})")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 # the one n whose inertia group each invariant flag decides
 _INVARIANT_FLAGS = (("p1", "--p1", 4), ("p2", "--p2", 8), ("normal_h", "--normal-h", 9))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict | str:
     invariant = None
     for attr, flag, n in _INVARIANT_FLAGS:
         value = getattr(args, attr)
@@ -326,8 +290,7 @@ def cmd_classify(args) -> int:
 
     result = classify.classification_result(args.n, invariant)
     if args.json:
-        _emit_json(args, result.to_json())
-        return 0
+        return result.to_json()
     cite = lambda tags: " [" + "; ".join(tags) + "]"
     lines = [f"n = {result.n} (dimension {result.dimension})"]
     lines.append(f"  I(M) = {result.inertia}" + cite(result.inertia.citations))
@@ -341,11 +304,10 @@ def cmd_classify(args) -> int:
     if result.boundary.qualifier:
         lines.append(f"  ({result.boundary.qualifier})")
     lines.append(f"  status: {result.status}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_stems(args) -> int:
+def cmd_stems(args) -> dict | str:
     from . import classify
 
     if args.product and args.stem is not None:
@@ -354,23 +316,20 @@ def cmd_stems(args) -> int:
     if args.product:
         fact = db.product(args.product[0], args.product[1])
         if args.json:
-            _emit_json(args, {"a": fact.a, "b": fact.b, "result": fact.result,
-                              "note": fact.note, "stems": [fact.stem_a, fact.stem_b]})
-        else:
-            note = f"  ({fact.note})" if fact.note else ""
-            _emit(args, f"{fact.a} * {fact.b} = {fact.result}{note}")
-        return 0
+            return {"a": fact.a, "b": fact.b, "result": fact.result,
+                    "note": fact.note, "stems": [fact.stem_a, fact.stem_b]}
+        note = f"  ({fact.note})" if fact.note else ""
+        return f"{fact.a} * {fact.b} = {fact.result}{note}"
     if args.stem is None:
         raise InputError("stems query needs --stem K or --product A B")
     rec = db.stem(args.stem)
     if args.json:
-        _emit_json(args, {
+        return {
             "k": rec.k, "group": rec.group.to_json(), "im_j_order": rec.im_j_order,
             "generators": [{"label": g.label, "aliases": list(g.aliases),
                             "im_j": g.im_j, "mu_family": g.mu_family}
                            for g in rec.generators],
-            "notes": list(rec.notes)})
-        return 0
+            "notes": list(rec.notes)}
     gens = ", ".join(
         g.label + (" (im J)" if g.im_j else "") + (" (mu)" if g.mu_family else "")
         for g in rec.generators) or "-"
@@ -378,8 +337,7 @@ def cmd_stems(args) -> int:
              f"  generators: {gens}"]
     for note in rec.notes:
         lines.append(f"  note: {note}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -473,7 +431,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.stems is not None and args.func is not cmd_stems:
             raise InputError("--stems applies only to stems query")
-        return args.func(args)
+        text = args.func(args)
+        if isinstance(text, dict):
+            text = json.dumps({"schema": SCHEMA_VERSION, **text}, indent=2, sort_keys=True)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text if text.endswith("\n") else text + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        else:
+            print(text)
+        return 0
     except HcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

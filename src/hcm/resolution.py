@@ -1,17 +1,16 @@
 """Minimal free resolutions over the Steenrod algebra and Ext charts.
 
 The resolution is built degree by degree and decides by rank first.
-Each stage records the rank of its image at every degree, so the kernel
-of the previous differential has a known dimension (previous stage's
-dimension minus that rank) before any kernel is computed.  The image of
-the decomposables at each bidegree is eliminated once, forward only,
-into a pivot table whose size is its rank; each row carries its index
-as a tag, so the rows that cancel leave relations (Bruner's
-``[image | identity]``, "Calculation of large Ext modules", 1989).
-Later generators have independent images, so the relations the stage
-keeps span its kernel, and the next stage reads its kernel basis off
-them alone (``_Stage.kernel``).  Where the table's rank is already the
-kernel's dimension, no generator is missing and no kernel is read.
+The image of the decomposables at each bidegree is eliminated once,
+forward only, into a pivot table whose size is its rank; each row
+carries its index as a tag, so the rows that cancel leave relations
+(Bruner's ``[image | identity]``, "Calculation of large Ext modules",
+1989).  Later generators have independent images, so the relations the
+stage keeps are a basis of its kernel: their count is the kernel's
+dimension before any kernel is computed, and the next stage reads its
+kernel basis off them alone (``_Stage.kernel``).  Where the next
+stage's table already has the kernel's dimension, no generator is
+missing and no kernel is read.
 Elsewhere each kernel vector, in pivot order, is reduced against the
 table to its canonical representative (no bit in a pivot column), and
 a nonzero one becomes a new free generator's differential and joins
@@ -125,7 +124,6 @@ class _Stage:
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
         self.rels: dict[int, list[int]] = {}
-        self.rank: dict[int, int] = {}  # dim of the span of img[t]
 
     def dim(self, t: int) -> int:
         return self.offset.get(t, (0,))[-1]
@@ -226,7 +224,6 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             # The augmentation must be onto; count afresh, not from the choice above.
             piv = f2linalg.echelon(st0.img[t])
         _check_exact(0, t, len(piv), dim)
-        st0.rank[t] = dim
 
     # -- higher stages: cover kernels degree by degree.
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
@@ -236,10 +233,8 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
             cur.extend(t)
-            nprev = prev.dim(t)
-            # prev.img[t] spans a space of dim prev.rank[t], so ker d has dim want.
-            want = nprev - prev.rank.get(t, 0)
-            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.img[t], nprev)
+            want = len(prev.rels[t])  # a basis of ker d at t
+            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.img[t], prev.dim(t))
             if len(piv) < want:
                 ordinal = 0
                 for kv in prev.kernel(t):
@@ -256,7 +251,6 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     if len(piv) == want:
                         break  # every later kernel vector reduces to 0
             _check_exact(s, t, len(piv), want)
-            cur.rank[t] = len(piv)
         prev.rels = {}
 
     res = FreeResolution(
@@ -274,8 +268,8 @@ def _check_exact(s: int, t: int, got: int, want: int):
     """Raise unless the image at (s, t) has the dimension exactness needs.
 
     At stage 0 that is the module's dimension (the augmentation is onto);
-    later it is the kernel's dimension, which the previous stage's rank
-    gives.  ``verify`` checks d.d = 0 independently, so the image lies in
+    later it is the kernel's dimension, the number of relations the
+    previous stage kept.  ``verify`` checks d.d = 0 independently, so the image lies in
     the kernel, and equal dimensions make them equal.
     """
     if got != want:
@@ -414,21 +408,21 @@ class ExtChart:
 
 
 def chart_from_json(obj: dict) -> ExtChart:
-    dims = {(int(s), int(t)): int(d) for s, t, d in obj.get("dims", ())}
-    labels = {(int(s), int(t)): tuple(ls) for s, t, ls in obj.get("labels", ())}
+    dims = {(int(s), int(t)): int(d) for s, t, d in obj["dims"]}
+    labels = {(int(s), int(t)): tuple(ls) for s, t, ls in obj["labels"]}
     products = {}
-    for p in obj.get("products", ()):
+    for p in obj["products"]:
         products.setdefault(int(p["k"]), []).append(
             (tuple(int(x) for x in p["from"]), tuple(int(x) for x in p["to"])))
     return ExtChart(
         max_s=int(obj["max_s"]), max_t=int(obj["max_t"]), dims=dims, labels=labels,
         products={k: tuple(v) for k, v in products.items()},
-        trusted_stem_max=obj.get("trusted_stem_max"),
-        stage_min_degree=tuple(obj.get("stage_min_degree", ())),
-        bottom=obj.get("bottom"),
-        cell_degrees=tuple(obj.get("cell_degrees", ())),
-        torsion_free_top_stems=frozenset(obj.get("torsion_free_top_stems", ())),
-        annotations=tuple(obj.get("annotations", ())))
+        trusted_stem_max=obj["trusted_stem_max"],
+        stage_min_degree=tuple(obj["stage_min_degree"]),
+        bottom=obj["bottom"],
+        cell_degrees=tuple(obj["cell_degrees"]),
+        torsion_free_top_stems=frozenset(obj["torsion_free_top_stems"]),
+        annotations=tuple(obj["annotations"]))
 
 
 def ext_chart(res: FreeResolution,

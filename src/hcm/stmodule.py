@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import (ConstructionError, ContractViolationError, DiagramError, InputError,
-                     RangeError, UnsupportedError)
+                     RangeError, UnsupportedError, fields, typed)
 from .steenrod import SqSum, choose_mod2
 
 
@@ -234,41 +234,21 @@ class GradedModule:
         }
 
 
-_NOUNS = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
-def _typed(value, kind: type, name: str):
-    """``value`` if its type is exactly ``kind``; JSON's true is not an integer."""
-    if type(value) is not kind:
-        raise InputError(f"bad module JSON: {name!r} must be {_NOUNS[kind]}, got {value!r}")
-    return value
-
-
-def _fields(obj, allowed: tuple[str, ...], where: str) -> dict:
-    """``obj`` if it is a JSON object with no key outside ``allowed``."""
-    if type(obj) is not dict:
-        raise InputError(f"bad module JSON: {where} must be an object, got {obj!r}")
-    for key in obj:
-        if key not in allowed:
-            raise InputError(f"bad module JSON: unknown key {key!r} in {where}")
-    return obj
-
-
 def from_json(obj: dict) -> GradedModule:
     """The module of a JSON cell diagram; a wrong type or unknown key is ``InputError``."""
     try:
-        obj = _fields(obj, ("window", "cells", "edges", "unstable"), "the module")
-        lo, hi = (_typed(x, int, "window") for x in obj["window"])
+        obj = fields(obj, ("window", "cells", "edges", "unstable"), "the module")
+        lo, hi = (typed(x, int, "window") for x in obj["window"])
         cells = []
         for k, c in enumerate(obj["cells"]):
-            c = _fields(c, ("label", "degree"), f"cell {k}")
-            cells.append((_typed(c["label"], str, "label"), _typed(c["degree"], int, "degree")))
+            c = fields(c, ("label", "degree"), f"cell {k}")
+            cells.append((typed(c["label"], str, "label"), typed(c["degree"], int, "degree")))
         edges = []
         for k, e in enumerate(obj.get("edges", ())):
-            e = _fields(e, ("from", "to", "sq"), f"edge {k}")
-            edges.append((_typed(e["from"], str, "from"), _typed(e["to"], str, "to"),
-                          _typed(e["sq"], int, "sq")))
-        unstable = _typed(obj.get("unstable", True), bool, "unstable")
+            e = fields(e, ("from", "to", "sq"), f"edge {k}")
+            edges.append((typed(e["from"], str, "from"), typed(e["to"], str, "to"),
+                          typed(e["sq"], int, "sq")))
+        unstable = typed(obj.get("unstable", True), bool, "unstable")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module JSON: {exc}") from exc
     return from_cells(diagram(cells, edges), (lo, hi), unstable=unstable)

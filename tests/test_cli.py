@@ -340,6 +340,63 @@ def test_stems_override_file(tmp_path, capsys):
     assert code == 0 and "sigma-alt" in out
 
 
+def _stems_file(tmp_path, where=None, key=None, value=None):
+    gen = {"label": "sigma", "aliases": ["h3"], "im_j": True, "mu_family": False}
+    rel = {"label": "sigma'", "sum": ["sigma"], "im_j": True}
+    prod = {"a": "sigma", "b": "h3", "result": "0", "note": "a note"}
+    rec = {"k": 7, "cyclic_orders": [16], "im_j_order": 16, "generators": [gen],
+           "relations": [rel], "notes": ["a note"], "products": [dict(prod)]}
+    obj = {"schema": 1, "stems": [rec], "products": [prod]}
+    if where is not None:
+        {"top": obj, "record": rec, "generator": gen, "relation": rel,
+         "product": prod}[where][key] = value
+    path = tmp_path / "stems.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("top", "schema", "1"), ("top", "stems", {}), ("top", "products", {}), ("top", "extra", 1),
+    ("record", "k", 7.9), ("record", "k", "7"), ("record", "k", True),
+    ("record", "cyclic_orders", [16.0]), ("record", "cyclic_orders", 16),
+    ("record", "im_j_order", "16"), ("record", "generators", {}), ("record", "notes", "note"),
+    ("record", "extra", 1),
+    ("generator", "label", 5), ("generator", "aliases", "sig"), ("generator", "aliases", [5]),
+    ("generator", "im_j", "false"), ("generator", "mu_family", 0), ("generator", "extra", 1),
+    ("relation", "label", 5), ("relation", "sum", "sigma"), ("relation", "im_j", 1),
+    ("relation", "extra", 1),
+    ("product", "a", 5), ("product", "result", 0), ("product", "note", 5),
+    ("product", "extra", 1),
+])
+def test_stems_fields_are_read_by_type(tmp_path, capsys, where, key, value):
+    # As in a module file: a value of the wrong JSON type is rejected, never
+    # truncated or coerced, and an unknown key is not dropped, at every level.
+    argv = ("stems", "query", "--stem", "7", "--stems")
+    code, out, _ = run(capsys, *argv, _stems_file(tmp_path))
+    assert code == 0 and "sigma" in out
+    code, out, err = run(capsys, *argv, _stems_file(tmp_path, where, key, value))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad stems JSON:") and repr(key) in err
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("module", ("ext", "--module")),
+    ("stems", ("stems", "query", "--stem", "7", "--stems")),
+])
+def test_unreadable_files_exit_2(tmp_path, capsys, what, argv):
+    # Module and stems files share one reader: a missing file, one that is
+    # not UTF-8 and one that is not JSON each end in one line naming the file.
+    missing, latin, bad = tmp_path / "missing.json", tmp_path / "latin.json", tmp_path / "bad.json"
+    latin.write_bytes(b'{"k": "\xff"}')
+    bad.write_text('{"k": 7,\n oops', encoding="utf-8")
+    for path, start in ((missing, f"cannot read {what} file"), (latin, f"cannot read {what} file"),
+                        (bad, f"{what} file")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {start} {str(path)!r}: ") and err.count("\n") == 1
+    assert err == f"error: {what} file {str(bad)!r}: bad JSON at line 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--n", "9", "--stems", "/nonexistent"),
     ("--stems", "/nonexistent", "classify", "--n", "9"),
@@ -426,6 +483,35 @@ def test_chart_cache_key_holds_truncation(tmp_path, capsys, monkeypatch):
     code, warm, _ = run_json(capsys, *argv, str(spec))
     assert code == 0 and warm == cold
     assert len(list((tmp_path / "warm").glob("*.json"))) == 2
+
+
+def _cut_down(entry):
+    return {"max_s": entry["max_s"], "max_t": entry["max_t"]}
+
+
+def _string_dim(entry):
+    (s, t, d), *rest = entry["dims"]
+    return {**entry, "dims": [[s, t, str(d)], *rest]}
+
+
+def _extra_key(entry):
+    return {**entry, "extra": 1}
+
+
+@pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _extra_key])
+def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, spoil):
+    # An entry that does not decode to a chart writing it back exactly is a
+    # miss: the chart is recomputed and the entry rewritten in full.
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path))
+    argv = ("ext", "--module", "builtin:sphere", "--max-s", "3", "--max-t", "8")
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    entry, = tmp_path.glob("*.json")
+    whole = entry.read_text(encoding="utf-8")
+    entry.write_text(json.dumps(spoil(json.loads(whole))), encoding="utf-8")
+    assert run(capsys, *argv) == (0, fresh, "")
+    assert entry.read_text(encoding="utf-8") == whole
+    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_rendered_chart_round_trip():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from math import comb
 
@@ -541,7 +542,9 @@ def test_chart_digests_pinned(make, max_s, max_t, digest):
 
 def test_exactness_check_catches_a_missing_generator(monkeypatch):
     # Dropping one kernel vector per bidegree leaves d.d = 0 and minimality
-    # intact, so only the rank check can see the missing generators.
+    # intact, so only the exactness check, which compares each image with
+    # the number of relations the previous stage kept, can see the
+    # missing generators.
     real = rs._Stage.kernel
 
     def lossy(self, t):
@@ -553,8 +556,8 @@ def test_exactness_check_catches_a_missing_generator(monkeypatch):
 
 
 def test_relations_only_where_a_generator_is_missing(monkeypatch):
-    # The recorded ranks give each kernel's dimension, so a kernel basis is
-    # read off the kept relations only at bidegrees that gain a generator.
+    # The number of kept relations gives each kernel's dimension, so a kernel
+    # basis is read off them only at bidegrees that gain a generator.
     real = rs._Stage.kernel
     calls = []
 
@@ -594,15 +597,22 @@ def test_full_elimination_only_where_a_generator_is_missing(monkeypatch):
         assert [g.label for g in res.stages[0]] == labels
 
 
-def test_relations_outside_the_kernel_are_caught(monkeypatch):
+@pytest.mark.parametrize("exactness, message", [
+    (True, "not exact at stage 2, degree 6"),
+    (False, "d.d != 0 at stage 2"),
+], ids=["exactness", "verify"])
+def test_relations_outside_the_kernel_are_caught(monkeypatch, exactness, message):
     # A "kernel" that is the whole ambient space yields generators whose
     # differential is not a cycle; stopping early at the kernel's
-    # dimension must not hide them.
+    # dimension must not hide them.  The exactness check sees it first;
+    # with that check off, verify's d.d = 0 must still see it.
     def everything(self, t):
         return [1 << i for i in range(self.dim(t))]
 
     monkeypatch.setattr(rs._Stage, "kernel", everything)
-    with pytest.raises(InternalError):
+    if not exactness:
+        monkeypatch.setattr(rs, "_check_exact", lambda *args: None)
+    with pytest.raises(InternalError, match=re.escape(message)):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
 
 
