@@ -126,6 +126,8 @@ def parse_stems(data: dict) -> StemDatabase:
                 listed(rel["sum"], str, "sum")
                 typed(rel.get("im_j", False), bool, "im_j")
             k = typed(rec["k"], int, "k")
+            if k in records:
+                raise ValueError(f"{where}: a second record for stem {k}")
             records[k] = StemRecord(
                 k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
                 im_j_order=typed(rec.get("im_j_order", 1), int, "im_j_order"),

@@ -106,12 +106,11 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
                            max_s, max_t], sort_keys=True)
         key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
         try:
-            with open(key, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            entry = read_json(key, "chart cache")
             chart = resolution.chart_from_json(entry)
             if chart.to_json() == entry:  # only an exact entry is served
                 return chart
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except (InputError, ValueError, KeyError, TypeError):
             pass  # a missing, unreadable or invalid entry is a miss; rewritten below
     res = resolution.minimal_resolution(module, max_s, max_t)
     chart = resolution.ext_chart(res)
@@ -437,7 +436,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text if text.endswith("\n") else text + "\n")
+                    print(text, file=fh)
             except OSError as exc:
                 raise InputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
         else:

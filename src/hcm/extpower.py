@@ -125,7 +125,7 @@ def derived_edges(m: GradedModule) -> list[tuple[int, str, str]]:
     difference; this listing makes every derived edge explicit so chart
     comparisons never guess.
     """
-    return sorted((e.sq, e.src, e.dst) for e in m.to_cells().edges)
+    return sorted((k, src, dst) for src, dst, k in m.to_cells().edges)
 
 
 def d2_splitting_summands(n: int) -> tuple[GradedModule, GradedModule]:
@@ -149,7 +149,7 @@ def tensor_square(n: int) -> GradedModule:
 
 def d2_sphere(dim: int) -> GradedModule:
     """D_2 of a single cell in degree ``dim``, in the window [2dim, 2dim+3]."""
-    base = stmodule.from_cells(stmodule.sphere_cell_diagram(dim), (dim, dim),
+    base = stmodule.from_cells(stmodule.diagram([(f"i{dim}", dim)], []), (dim, dim),
                                unstable=False, truncated=False)
     return d2_homology(base, (2 * dim, 2 * dim + 3), square_style="power")
 

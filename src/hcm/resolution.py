@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import f2linalg, steenrod
-from .errors import InternalError, RangeError, RefusalError
+from .errors import InternalError, RangeError, RefusalError, listed, typed
 from .f2linalg import _bits, _low_bit
 from .groups import AbelianGroup
 from .steenrod import SqSum
@@ -194,9 +194,9 @@ def _h_label(k: int, src_label: str) -> str:
 def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolution:
     """Minimal resolution of ``m`` through homological degree max_s, internal degree max_t.
 
-    Requires the module window to reach max_t unless the module is
-    complete; a window module is resolved as the truncation quotient it
-    is, which is exact for chart stems <= window top - 1.
+    max_t may pass the window top: a window module is resolved as its
+    truncation quotient, zero above the top, which is exact for chart
+    stems <= window top - 1.
     """
     if max_s < 0 or max_t < m.lo:
         raise RangeError("empty resolution range")
@@ -408,21 +408,24 @@ class ExtChart:
 
 
 def chart_from_json(obj: dict) -> ExtChart:
-    dims = {(int(s), int(t)): int(d) for s, t, d in obj["dims"]}
-    labels = {(int(s), int(t)): tuple(ls) for s, t, ls in obj["labels"]}
+    """The chart of a ``to_json`` dict, each value read by its exact JSON type
+    (``TypeError`` otherwise): an integer is not ``true`` or ``4.0``."""
+    num = lambda v, name: typed(v, int, name)
+    maybe = lambda name: None if obj[name] is None else num(obj[name], name)
+    ints = lambda name: listed(obj[name], int, name)
+    dims = {(num(s, "s"), num(t, "t")): num(d, "dims") for s, t, d in obj["dims"]}
+    labels = {(num(s, "s"), num(t, "t")): listed(ls, str, "labels") for s, t, ls in obj["labels"]}
     products = {}
     for p in obj["products"]:
-        products.setdefault(int(p["k"]), []).append(
-            (tuple(int(x) for x in p["from"]), tuple(int(x) for x in p["to"])))
+        products.setdefault(num(p["k"], "k"), []).append(
+            (listed(p["from"], int, "from"), listed(p["to"], int, "to")))
     return ExtChart(
-        max_s=int(obj["max_s"]), max_t=int(obj["max_t"]), dims=dims, labels=labels,
-        products={k: tuple(v) for k, v in products.items()},
-        trusted_stem_max=obj["trusted_stem_max"],
-        stage_min_degree=tuple(obj["stage_min_degree"]),
-        bottom=obj["bottom"],
-        cell_degrees=tuple(obj["cell_degrees"]),
-        torsion_free_top_stems=frozenset(obj["torsion_free_top_stems"]),
-        annotations=tuple(obj["annotations"]))
+        max_s=num(obj["max_s"], "max_s"), max_t=num(obj["max_t"], "max_t"), dims=dims,
+        labels=labels, products={k: tuple(v) for k, v in products.items()},
+        trusted_stem_max=maybe("trusted_stem_max"), stage_min_degree=ints("stage_min_degree"),
+        bottom=maybe("bottom"), cell_degrees=ints("cell_degrees"),
+        torsion_free_top_stems=frozenset(ints("torsion_free_top_stems")),
+        annotations=listed(obj["annotations"], str, "annotations"))
 
 
 def ext_chart(res: FreeResolution,

@@ -1,13 +1,14 @@
 """Finite graded modules over the mod-2 Steenrod algebra in a degree window.
 
-Input format is the homology cell diagram: cells with degrees, and edges
-``(src, dst, k)`` meaning the degree-lowering homology operation Sq_k
-carries ``src`` to ``dst`` ("a line of length k").  Construction
-dualizes to the cohomological left module (the convention every other
-module here consumes): on dual bases, Sq^k transposes the Sq_k edges.
-Powers of two are the free inputs; every other Sq^a is completed from
-them through the Adem relations, and any non-2-power edge supplied in a
-diagram is checked against the completed action.
+Input format is the homology cell diagram, made of plain tuples: cells
+``(label, degree)`` and edges ``(src, dst, k)`` meaning the
+degree-lowering homology operation Sq_k carries ``src`` to ``dst`` ("a
+line of length k").  Construction dualizes to the cohomological left
+module (the convention every other module here consumes): on dual
+bases, Sq^k transposes the Sq_k edges.  Powers of two are the free
+inputs; every other Sq^a is completed from them through the Adem
+relations, and any non-2-power edge supplied in a diagram is checked
+against the completed action.
 
 A window [lo, hi] means the module is the quotient of the full
 cohomology by degrees above hi (left actions raise degree, so that is a
@@ -27,42 +28,25 @@ from .steenrod import SqSum, choose_mod2
 
 
 @dataclass(frozen=True)
-class Cell:
-    label: str
-    degree: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Homology operation Sq_k: src -> dst, with deg(src) - deg(dst) = k."""
-
-    src: str
-    dst: str
-    sq: int
-
-
-@dataclass(frozen=True)
 class CellDiagram:
-    cells: tuple[Cell, ...]
-    edges: tuple[Edge, ...]
+    cells: tuple[tuple[str, int], ...]
+    edges: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
-        labels = [c.label for c in self.cells]
-        if len(set(labels)) != len(labels):
+        degs = dict(self.cells)
+        if len(degs) != len(self.cells):
             raise DiagramError("duplicate cell labels")
-        degs = {c.label: c.degree for c in self.cells}
-        for e in self.edges:
-            if e.src not in degs or e.dst not in degs:
-                raise DiagramError(f"edge {e} references unknown cell")
-            if e.sq <= 0 or degs[e.src] - degs[e.dst] != e.sq:
+        for src, dst, k in self.edges:
+            if src not in degs or dst not in degs:
+                raise DiagramError(f"edge {src}->{dst} references unknown cell")
+            if k <= 0 or degs[src] - degs[dst] != k:
                 raise DiagramError(
-                    f"edge {e.src}->{e.dst} labelled Sq_{e.sq} but degrees differ by "
-                    f"{degs[e.src] - degs[e.dst]}")
+                    f"edge {src}->{dst} labelled Sq_{k} but degrees differ by "
+                    f"{degs[src] - degs[dst]}")
 
 
 def diagram(cells: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str, int]]) -> CellDiagram:
-    return CellDiagram(tuple(Cell(l, d) for l, d in cells),
-                       tuple(Edge(s, t, k) for s, t, k in edges))
+    return CellDiagram(tuple((l, d) for l, d in cells), tuple((s, t, k) for s, t, k in edges))
 
 
 class GradedModule:
@@ -77,8 +61,7 @@ class GradedModule:
 
     def __init__(self, lo: int, hi: int, basis: dict[int, tuple[str, ...]],
                  action: dict[tuple[int, int], tuple[int, ...]],
-                 unstable: bool = True, truncated: bool = True,
-                 warnings: tuple[str, ...] = ()):
+                 unstable: bool = True, truncated: bool = True):
         if lo > hi:
             raise ContractViolationError("empty window")
         self.lo = lo
@@ -87,7 +70,7 @@ class GradedModule:
         self.action = dict(action)
         self.unstable = unstable
         self.truncated = truncated
-        self.warnings = warnings
+        self.warnings: tuple[str, ...] = ()
         self._index = {}
         for d in range(lo, hi + 1):
             for i, label in enumerate(self.basis[d]):
@@ -135,30 +118,22 @@ class GradedModule:
         """Apply Sq^a to a bit-packed degree-d vector."""
         if a == 0:
             return vec
-        if d + a > self.hi or d > self.hi or d < self.lo:
+        if d + a > self.hi or d < self.lo:
             return 0
         rows = self.sq_rows(a, d)
         out = 0
-        v = vec
-        while v:
-            b = v & -v
+        while vec:
+            b = vec & -vec
             out ^= rows[b.bit_length() - 1]
-            v ^= b
+            vec ^= b
         return out
 
     def act_word(self, word: Sequence[int], d: int, vec: int) -> int:
         """Apply the composite Sq^{word[0]} ... Sq^{word[-1]}."""
-        deg = d + sum(word)
-        if deg > self.hi:
-            return 0
-        cur = vec
-        pos = d
-        for a in reversed(tuple(word)):
-            cur = self.act(a, pos, cur)
-            pos += a
-            if cur == 0:
-                return 0
-        return cur
+        for a in reversed(word):
+            vec = self.act(a, d, vec)
+            d += a
+        return vec
 
     def act_sum(self, s: SqSum, d: int, vec: int) -> int:
         out = 0
@@ -228,8 +203,8 @@ class GradedModule:
         cd = self.to_cells()
         return {
             "window": [self.lo, self.hi],
-            "cells": [{"label": c.label, "degree": c.degree} for c in cd.cells],
-            "edges": [{"from": e.src, "to": e.dst, "sq": e.sq} for e in cd.edges],
+            "cells": [{"label": lbl, "degree": d} for lbl, d in cd.cells],
+            "edges": [{"from": src, "to": dst, "sq": k} for src, dst, k in cd.edges],
             "unstable": self.unstable,
         }
 
@@ -271,20 +246,20 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
     values.  The result always passes :meth:`GradedModule.validate`.
     """
     lo, hi = window
-    cells = [c for c in diag.cells if lo <= c.degree <= hi]
+    cells = [(lbl, d) for lbl, d in diag.cells if lo <= d <= hi]
     basis: dict[int, tuple[str, ...]] = {}
-    for c in cells:
-        basis[c.degree] = basis.get(c.degree, ()) + (c.label,)
+    for lbl, d in cells:
+        basis[d] = basis.get(d, ()) + (lbl,)
     mod = GradedModule(lo, hi, basis, {}, unstable=unstable, truncated=truncated)
-    pos = {c.label: mod.locate(c.label) for c in cells}
+    pos = {lbl: mod.locate(lbl) for lbl, _ in cells}
 
     # Sq_k: src -> dst dualizes to Sq^k(dst-dual) containing src-dual.  A
     # 2-power edge from a cell outside the window still states dst's Sq^k.
     given: dict[tuple[int, str], int] = {}
-    for e in diag.edges:
-        if _is_pow2(e.sq):
-            bit = 1 << pos[e.src][1] if e.src in pos else 0
-            given[(e.sq, e.dst)] = given.get((e.sq, e.dst), 0) ^ bit
+    for src, dst, k in diag.edges:
+        if _is_pow2(k):
+            bit = 1 << pos[src][1] if src in pos else 0
+            given[(k, dst)] = given.get((k, dst), 0) ^ bit
 
     # Operations in increasing order: a power of two from the edges, any
     # other Sq^a Adem-forced from the lower ones already in the table.
@@ -293,9 +268,8 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
         m = 1 << (a.bit_length() - 1)
         s = a - m
         if s == 0:
-            warnings += [f"Sq^{a} on {c.label} defaulted to zero "
-                         f"(degree {c.degree + a} inhabited)"
-                         for c in cells if mod.dim(c.degree + a) and (a, c.label) not in given]
+            warnings += [f"Sq^{a} on {lbl} defaulted to zero (degree {d + a} inhabited)"
+                         for lbl, d in cells if mod.dim(d + a) and (a, lbl) not in given]
             for d in range(lo, hi - a + 1):
                 mod.action[(a, d)] = tuple(given.get((a, lbl), 0) for lbl in mod.labels(d))
             continue
@@ -309,14 +283,14 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
                 rows.append(v)
             mod.action[(a, d)] = tuple(rows)
 
-    for e in diag.edges:
-        if e.src in pos and e.dst in pos and not _is_pow2(e.sq):
-            dd, i_dst = pos[e.dst]
-            got = mod.act(e.sq, dd, 1 << i_dst)
-            if not (got >> pos[e.src][1]) & 1:
+    for src, dst, k in diag.edges:
+        if src in pos and dst in pos and not _is_pow2(k):
+            dd, i_dst = pos[dst]
+            got = mod.act(k, dd, 1 << i_dst)
+            if not (got >> pos[src][1]) & 1:
                 raise ConstructionError(
-                    f"edge Sq_{e.sq}: {e.src} -> {e.dst} is not Adem-forced "
-                    f"(derived Sq^{e.sq} gives {mod.element_name(dd + e.sq, got)})")
+                    f"edge Sq_{k}: {src} -> {dst} is not Adem-forced "
+                    f"(derived Sq^{k} gives {mod.element_name(dd + k, got)})")
 
     mod.warnings = tuple(warnings)
     problems = mod.validate()
@@ -338,8 +312,6 @@ def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> Grade
         names: list[str] = []
         for d1 in range(m1.lo, m1.hi + 1):
             d2 = d - d1
-            if d2 < m2.lo or d2 > m2.hi:
-                continue
             for i, x in enumerate(m1.labels(d1)):
                 for j, y in enumerate(m2.labels(d2)):
                     index[(d1, i, d2, j)] = len(lst)
@@ -377,7 +349,7 @@ def sphere_module(max_t: int) -> GradedModule:
     return GradedModule(0, max_t, {0: ("x0",)}, {}, unstable=True, truncated=False)
 
 
-def zero_module(window: tuple[int, int] = (0, 0)) -> GradedModule:
+def zero_module(window: tuple[int, int]) -> GradedModule:
     return GradedModule(window[0], window[1], {}, {}, unstable=True, truncated=True)
 
 
@@ -404,7 +376,7 @@ def o_diagram(n: int) -> CellDiagram:
     raise UnsupportedError(f"n = {n} mod 8 = {r}: only residues 0, 1, 4 carry cell data")
 
 
-def z_diagram(shift: int = 0) -> CellDiagram:
+def z_diagram(shift: int) -> CellDiagram:
     """Integral Eilenberg-MacLane homology F_2[z1^2, z2, ...], degrees <= shift+5."""
     i = f"i{shift}" if shift else "i"
     mk = lambda mono: f"{mono} {i}" if shift else (mono if mono else "1")
@@ -418,12 +390,7 @@ def z_diagram(shift: int = 0) -> CellDiagram:
         (mk("z1^2 z2"), mk("z1^4"), 1),
         (mk("z1^2 z2"), mk("z2"), 2),
     ]
-    return CellDiagram(tuple(Cell(l, d) for l, d in cells),
-                       tuple(Edge(s, t, k) for s, t, k in edges))
-
-
-def sphere_cell_diagram(dim: int) -> CellDiagram:
-    return diagram([(f"i{dim}", dim)], [])
+    return diagram(cells, edges)
 
 
 def builtin(name: str, n: int, window: Optional[tuple[int, int]] = None) -> GradedModule:

@@ -47,6 +47,11 @@ def test_ext_missing_file_exit_2(capsys):
     assert out == "" and "missing.json" in err
 
 
+def test_unknown_builtin_exit_2(capsys):
+    code, out, err = run(capsys, "ext", "--module", "builtin:nope")
+    assert (code, out, err) == (2, "", "error: unknown builtin module 'nope'\n")
+
+
 def test_builtin_n_checked_once(capsys):
     # A residue without cell data is one range error, whichever module needs it.
     errs = set()
@@ -203,6 +208,19 @@ def test_ext_out_file(tmp_path, capsys):
     assert "Q0(y15)" in target.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("module", ["builtin:sphere", "empty"])
+def test_out_file_equals_stdout(tmp_path, capsys, module):
+    # The chart of a module with no cells ends in a blank line; the file keeps it.
+    if module == "empty":
+        module = str(tmp_path / "empty.json")
+        Path(module).write_text('{"window": [0, 3], "cells": []}', encoding="utf-8")
+    argv = ("ext", "--module", module, "--max-s", "2")
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "chart.txt"
+    assert code == 0 and run(capsys, "--out", str(target), *argv) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_out_to_an_unwritable_path_exit_2(tmp_path, capsys):
     # A missing directory and a path that is a directory: one typed error
     # that names the path, no traceback, nothing on stdout.
@@ -230,6 +248,17 @@ def test_d2_half_window_exit_2(capsys, flag):
     code, out, err = run(capsys, "d2", "--module", "builtin:o", "--n", "16", flag, "31")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--lo" in err and "--hi" in err
+
+
+@pytest.mark.parametrize("cells, code, message", [
+    ([], 2, "cannot form the quadratic power of a zero module"),
+    ([{"label": "a", "degree": 0}], 3, "no quadratic window above degree 0: "),
+])
+def test_d2_without_a_quadratic_window(tmp_path, capsys, cells, code, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"window": [0, 3], "cells": cells}), encoding="utf-8")
+    got, out, err = run(capsys, "d2", "--module", str(path))
+    assert (got, out) == (code, "") and err.startswith(f"error: {message}")
 
 
 def test_d2_reversed_window_exit_2(capsys):
@@ -279,6 +308,11 @@ def test_bounds_scan(capsys):
 def test_bounds_check(capsys):
     code, out, _ = run(capsys, "bounds", "check", "--k", "52", "--s", "17", "--l", "1")
     assert code == 0 and "all conditions hold" in out
+    code, payload, _ = run_json(capsys, "bounds", "check", "--k", "52", "--s", "17", "--l", "1")
+    assert code == 0 and payload["all_hold"] is True
+    assert set(payload) == {"schema", "k", "s", "l", "all_hold", "conditions"}
+    assert [c["name"] for c in payload["conditions"]] == ["filtration", "stem", "davis-mahowald"]
+    assert all(set(c) == {"name", "holds", "lhs", "rhs", "margin"} for c in payload["conditions"])
 
 
 def test_bounds_check_bad_s_exit_2(capsys):
@@ -327,6 +361,26 @@ def test_stems_queries(capsys):
     assert code == 0 and "eta*rho" in out
     code, _, err = run(capsys, "stems", "query", "--stem", "99")
     assert code == 2
+
+
+def test_stems_product_json(capsys):
+    code, payload, _ = run_json(capsys, "stems", "query", "--product", "sigma", "mu9")
+    assert code == 0
+    assert payload == {"schema": 1, "a": "sigma", "b": "mu9", "result": "eta*rho",
+                       "note": "lands in the image of J", "stems": [7, 9]}
+    code, out, err = run(capsys, "stems", "query", "--product", "eta", "eta", "--json")
+    assert (code, out, err) == (2, "", "error: no recorded product eta * eta\n")
+
+
+def test_stems_second_record_for_a_stem_exit_2(tmp_path, capsys):
+    rec = {"k": 7, "cyclic_orders": [16], "im_j_order": 16,
+           "generators": [{"label": "first"}]}
+    path = tmp_path / "stems.json"
+    path.write_text(json.dumps({"stems": [rec, {**rec, "generators": [{"label": "second"}]}]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "--stems", str(path), "stems", "query", "--stem", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: bad stems JSON: stems[1]: a second record for stem 7\n"
 
 
 def test_stems_override_file(tmp_path, capsys):
@@ -413,6 +467,9 @@ def test_stems_query_takes_stem_or_product_not_both(capsys):
     code, out, err = run(capsys, "stems", "query", "--stem", "7", "--product", "eta", "eta")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--stem" in err and "--product" in err
+    code, out, err = run(capsys, "stems", "query")
+    assert (code, out) == (2, "")
+    assert err == "error: stems query needs --stem K or --product A B\n"
 
 
 @pytest.mark.parametrize("n, noted", [("15", True), ("16", False)])
@@ -494,11 +551,35 @@ def _string_dim(entry):
     return {**entry, "dims": [[s, t, str(d)], *rest]}
 
 
+def _true_dim(entry):
+    (s, t, d), *rest = entry["dims"]
+    return {**entry, "dims": [[s, t, True], *rest]}
+
+
+def _float_dim(entry):
+    (s, t, d), *rest = entry["dims"]
+    return {**entry, "dims": [[s, t, float(d)], *rest]}
+
+
+def _number_label(entry):
+    (s, t, ls), *rest = entry["labels"]
+    return {**entry, "labels": [[s, t, [5, *ls[1:]]], *rest]}
+
+
+def _string_stem_max(entry):
+    return {**entry, "trusted_stem_max": "11"}
+
+
+def _number_annotation(entry):
+    return {**entry, "annotations": [1]}
+
+
 def _extra_key(entry):
     return {**entry, "extra": 1}
 
 
-@pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _extra_key])
+@pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _true_dim, _float_dim, _number_label,
+                                   _string_stem_max, _number_annotation, _extra_key])
 def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, spoil):
     # An entry that does not decode to a chart writing it back exactly is a
     # miss: the chart is recomputed and the entry rewritten in full.
@@ -556,8 +637,12 @@ _REPORT_ENGINE = ("import sys\nfrom hcm import cli\ncode = cli.main(sys.argv[1:]
     (["bounds", "scan", "--case", "d1"], {"bounds"}),
     (["ext", "--module", "builtin:sphere", "--max-s", "1", "--max-t", "3"],
      {"f2linalg", "render", "resolution", "steenrod", "stmodule"}),
+    (["d2", "--module", "builtin:o", "--n", "9"],
+     {"extpower", "f2linalg", "steenrod", "stmodule"}),
+    (["bar-e1", "--n", "16"],
+     {"barpage", "extpower", "f2linalg", "resolution", "steenrod", "stmodule"}),
     (["--help"], set()),
-], ids=["stems", "classify", "bounds-scan", "ext-sphere", "help"])
+], ids=["stems", "classify", "bounds-scan", "ext-sphere", "d2", "bar-e1", "help"])
 def test_each_command_imports_only_its_engine(tmp_path, argv, engine):
     # A fresh interpreter per command, as a user's shell runs it.
     env = {k: v for k, v in os.environ.items() if k != "HCM_CACHE_DIR"}

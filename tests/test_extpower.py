@@ -164,7 +164,7 @@ def test_single_cell_matches_stunted_projective_pattern(d):
 
     width = min(6, 3 * d - 1 - 2 * d)
     window = (2 * d, 2 * d + width)
-    base = sm.from_cells(sm.sphere_cell_diagram(d), (d, d),
+    base = sm.from_cells(sm.diagram([(f"i{d}", d)], []), (d, d),
                          unstable=False, truncated=False)
     out = ep.d2_homology(base, window)
     for i in range(width + 1):

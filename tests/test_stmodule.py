@@ -44,6 +44,11 @@ def test_from_cells_rejects_bad_edge_degree():
         sm.diagram([("a", 0), ("b", 3)], [("b", "a", 2)])
 
 
+def test_from_cells_rejects_an_edge_to_an_unknown_cell():
+    with pytest.raises(DiagramError, match=r"^edge x->a references unknown cell$"):
+        sm.diagram([("a", 0)], [("x", "a", 1)])
+
+
 def test_from_cells_rejects_duplicate_labels():
     with pytest.raises(DiagramError):
         sm.diagram([("a", 0), ("a", 1)], [])
