@@ -12,8 +12,7 @@ it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import extpower, resolution
 from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError
@@ -33,8 +32,7 @@ def pi_bo(k: int) -> AbelianGroup:
     return _BO_PATTERN[k % 8]
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """A named group summand with its provenance tag."""
 
     source: str  # "bo" | "D2" | "tensor" | "pi_2n(S)"
@@ -48,8 +46,7 @@ class Summand:
         return f"({body})" if self.source == "bo" else body
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(NamedTuple):
     """Entries keyed by (bar filtration s, total degree t+s)."""
 
     n: int

@@ -9,12 +9,11 @@ marker instead of silently preferring either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError
+from .errors import ContractViolationError, InternalError, RangeError, UnsupportedError, checked
 
 # Count of 0 < s <= r with s mod 8 in {0,1,2,4}, for r = 0..7.
 _PARTIAL = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -64,8 +63,8 @@ def davis_mahowald(k: int) -> Fraction:
     return Fraction(3 * k, 10) + 4 + v2(k + 2) + v2(k + 1)
 
 
-@dataclass(frozen=True)
-class VanishingParams:
+@checked
+class VanishingParams(NamedTuple):
     """The five-tuple (b <= d, v, m, c, r) of a banded vanishing line."""
 
     b: Fraction
@@ -75,7 +74,7 @@ class VanishingParams:
     c: Fraction
     r: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.b > self.d:
             raise ContractViolationError("need b <= d")
         if self.r < 1:
@@ -99,8 +98,7 @@ def vanishing_params(l: int) -> VanishingParams:
     return _PARAMS[l]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     lhs: Fraction
     rhs: Fraction
@@ -114,8 +112,7 @@ class Condition:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class AfJReport:
+class AfJReport(NamedTuple):
     """The three image-of-J conditions for a mod 2^l class in stem k, filtration s."""
 
     k: int
@@ -200,8 +197,7 @@ def condition3_scan(l: int, horizon: int = 4096) -> dict:
 PRINTED_2M1_MINUS_3 = {25: 15, 26: 17, 27: 19, 28: 19, 29: 19, 30: 19, 31: 19, 32: 21}
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     lhs: int  # 2 M1 - 3
     rhs: Fraction  # 2n/5 + 26/5
@@ -228,8 +224,7 @@ def table1(from_n: int, to_n: int) -> list[TableRow]:
 # -- threshold scans ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanCase:
+class ScanCase(NamedTuple):
     name: str
     residues: tuple[int, ...]
     citation: str
@@ -263,8 +258,7 @@ SCAN_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class DominanceCertificate:
+class DominanceCertificate(NamedTuple):
     """Per-8-block growth: lhs gains >= 8 - 2 (one log step at most), rhs 16/5."""
 
     lhs_block_growth_min: int
@@ -273,8 +267,7 @@ class DominanceCertificate:
     certified: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     case: str
     N: int
     horizon: int
@@ -339,8 +332,7 @@ _QUOTED_FILTRATIONS = {
     41: (25, "2M2-5", "Prop 5.9"),
 }
 
-@dataclass(frozen=True)
-class FiltrationFact:
+class FiltrationFact(NamedTuple):
     n: int
     filtration: int
     formula: str

@@ -9,11 +9,10 @@ boundary questions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import (InputError, NotFoundError, UnsupportedError, fields, listed, read_json,
-                     typed)
+from .errors import (InputError, NotFoundError, UnsupportedError, checked, fields, listed,
+                     read_json, typed)
 from .groups import AbelianGroup
 from .stems_data import BUNDLED_STEMS
 
@@ -26,16 +25,15 @@ OPEN_DIM_126 = "open (Kervaire invariant one in dim 126)"
 # -- stems database -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorInfo:
+class GeneratorInfo(NamedTuple):
     label: str
     aliases: tuple[str, ...]
     im_j: bool
     mu_family: bool
 
 
-@dataclass(frozen=True)
-class StemRecord:
+@checked
+class StemRecord(NamedTuple):
     k: int
     group: AbelianGroup
     generators: tuple[GeneratorInfo, ...]
@@ -43,7 +41,7 @@ class StemRecord:
     relations: tuple[dict, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         order = self.group.order
         if self.k < 1:
             raise InputError("stem must be positive")
@@ -51,8 +49,7 @@ class StemRecord:
             raise InputError(f"im_j_order {self.im_j_order} does not divide |pi_{self.k}|")
 
 
-@dataclass(frozen=True)
-class ProductFact:
+class ProductFact(NamedTuple):
     a: str
     b: str
     result: str  # generator label or "0"
@@ -152,8 +149,7 @@ def load_stems(path: Optional[str] = None) -> StemDatabase:
 # -- theorem database ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionalGroup:
+class ConditionalGroup(NamedTuple):
     """A group answer that may branch on a manifold invariant."""
 
     group: Optional[AbelianGroup]  # set when unconditional or decided
@@ -216,8 +212,7 @@ _KERNEL_EXTRAS = {
 }
 
 
-@dataclass(frozen=True)
-class KernelInfo:
+class KernelInfo(NamedTuple):
     n: int
     generators: tuple[str, ...]  # beyond the image of J
     citations: tuple[str, ...]
@@ -249,8 +244,7 @@ def a_group(n: int) -> AbelianGroup:
     return AbelianGroup.ZERO
 
 
-@dataclass(frozen=True)
-class BoundaryInfo:
+class BoundaryInfo(NamedTuple):
     n: int
     spheres_bounding: str
     boundary_map: str
@@ -285,8 +279,7 @@ def boundary_info(n: int) -> BoundaryInfo:
         "boundary map is zero", ("Thm 1.6",))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     n: int
     dimension: int
     inertia: ConditionalGroup

@@ -138,9 +138,7 @@ def cmd_ext(args) -> dict | str:
     max_t = args.max_t if args.max_t is not None else module.hi + args.max_s
     chart = _cached_chart(module, args.max_s, max_t)
     if args.module == "builtin:d2-sphere" and args.n % 2:
-        from dataclasses import replace
-
-        chart = replace(chart, annotations=chart.annotations + (MASSEY_NOTE,))
+        chart = chart._replace(annotations=chart.annotations + (MASSEY_NOTE,))
     if args.json:
         return {"chart": chart.to_json()}
     from . import render

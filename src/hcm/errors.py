@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all hcm modules, and the one reader of outside JSON.
+"""Exception hierarchy shared by all hcm modules, the one reader of outside JSON,
+and ``checked``, which makes a record's field checks hold however it is built.
 
 Exit-code mapping used by the CLI: input/parse problems -> 2,
 range/window problems -> 3, refusal to assemble an answer -> 4, a
@@ -97,3 +98,21 @@ def fields(obj, allowed: tuple[str, ...], where: str) -> dict:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}")
     return obj
+
+
+def checked(cls):
+    """Run the NamedTuple ``cls``'s ``_check`` on every instance, however it is built.
+
+    ``_make``, and so ``_replace``, is ``tuple.__new__`` underneath and
+    would skip the wrapped ``__new__``; it calls the constructor instead.
+    """
+    new = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, iterable: klass(*iterable))
+    return cls

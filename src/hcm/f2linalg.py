@@ -9,10 +9,9 @@ packing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, checked
 
 
 def _low_bit(x: int) -> int:
@@ -28,15 +27,15 @@ def _bits(x: int):
         x ^= b
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+@checked
+class F2Matrix(NamedTuple):
     """A rows x cols matrix over GF(2); ``data[i]`` packs row i."""
 
     rows: int
     cols: int
     data: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.rows < 0 or self.cols < 0 or len(self.data) != self.rows:
             raise ContractViolationError("inconsistent matrix shape")
         bound = 1 << self.cols
@@ -159,8 +158,7 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     return F2Matrix(m.rows, m.cols, tuple(out_rows)), cols
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of GF(2)^ambient_dim, basis in reduced echelon form.
 
     Basis vectors are bit-packed, linearly independent, and listed in
@@ -170,10 +168,10 @@ class Subspace:
 
     basis: tuple[int, ...]
     ambient_dim: int
-    piv: dict[int, int] = field(init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "piv", {_low_bit(b): b for b in self.basis})
+    @property
+    def piv(self) -> dict[int, int]:
+        return {_low_bit(b): b for b in self.basis}
 
     @property
     def dim(self) -> int:

@@ -6,24 +6,23 @@ two and the free part means copies of the 2-adic integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, checked
 
 
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+@checked
+class AbelianGroup(NamedTuple):
     """free_rank copies of Z plus cyclic 2-groups, orders sorted descending."""
 
     free_rank: int = 0
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.free_rank < 0:
             raise ContractViolationError("negative free rank")
         if any(not _is_pow2(t) for t in self.torsion):

@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import InternalError, RangeError, RefusalError, listed, typed
@@ -73,16 +72,14 @@ from .stmodule import GradedModule
 CHART_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     s: int
     t: int
     index: int  # position within its stage
     label: str
 
 
-@dataclass(frozen=True)
-class FreeResolution:
+class FreeResolution(NamedTuple):
     """Stages of generators plus differentials with SqSum entries.
 
     ``diff[s][i]`` maps stage-s generator i to a tuple of
@@ -342,8 +339,7 @@ def verify(res: FreeResolution) -> list[str]:
 # -- charts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtChart:
+class ExtChart(NamedTuple):
     """Bigraded dimensions with labels and h_0/h_1/h_2 product edges.
 
     ``products[k]`` lists ((s, t, i), (s+1, t+2^k, j)) pairs.  The trust
@@ -409,16 +405,26 @@ class ExtChart:
 
 def chart_from_json(obj: dict) -> ExtChart:
     """The chart of a ``to_json`` dict, each value read by its exact JSON type
-    (``TypeError`` otherwise): an integer is not ``true`` or ``4.0``."""
+    (``TypeError`` otherwise): an integer is not ``true`` or ``4.0``.
+
+    A chart that disagrees with itself is a ``ValueError``: each spot's
+    dimension is its label count, and a product endpoint (s, t, i) has
+    i < dim(s, t).
+    """
     num = lambda v, name: typed(v, int, name)
     maybe = lambda name: None if obj[name] is None else num(obj[name], name)
     ints = lambda name: listed(obj[name], int, name)
     dims = {(num(s, "s"), num(t, "t")): num(d, "dims") for s, t, d in obj["dims"]}
     labels = {(num(s, "s"), num(t, "t")): listed(ls, str, "labels") for s, t, ls in obj["labels"]}
+    if dims != {spot: len(ls) for spot, ls in labels.items()}:
+        raise ValueError("chart dims disagree with its label counts")
     products = {}
     for p in obj["products"]:
-        products.setdefault(num(p["k"], "k"), []).append(
-            (listed(p["from"], int, "from"), listed(p["to"], int, "to")))
+        ends = (listed(p["from"], int, "from"), listed(p["to"], int, "to"))
+        for s, t, i in ends:
+            if not 0 <= i < dims.get((s, t), 0):
+                raise ValueError(f"product endpoint {[s, t, i]} is past dim({s}, {t})")
+        products.setdefault(num(p["k"], "k"), []).append(ends)
     return ExtChart(
         max_s=num(obj["max_s"], "max_s"), max_t=num(obj["max_t"], "max_t"), dims=dims,
         labels=labels, products={k: tuple(v) for k, v in products.items()},

@@ -22,11 +22,10 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, checked
 from .f2linalg import _bits
 
 SqMonomial = tuple  # tuple[int, ...]; the empty tuple is the unit
@@ -47,8 +46,8 @@ def is_admissible(mon: Sequence[int]) -> bool:
     return all(mon[j] >= 2 * mon[j + 1] for j in range(len(mon) - 1))
 
 
-@dataclass(frozen=True)
-class SqSum:
+@checked
+class SqSum(NamedTuple):
     """A GF(2) sum of admissible monomials, all of one degree.
 
     ``terms`` is sorted descending, which makes equality and string form
@@ -57,7 +56,7 @@ class SqSum:
 
     terms: tuple[SqMonomial, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if list(self.terms) != sorted(set(self.terms), reverse=True):
             raise ContractViolationError("SqSum terms must be distinct and sorted")
         for t in self.terms:

@@ -18,21 +18,20 @@ genuine module).  Ext computed from such a truncation is exact in stems
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import (ConstructionError, ContractViolationError, DiagramError, InputError,
-                     RangeError, UnsupportedError, fields, typed)
+                     RangeError, UnsupportedError, checked, fields, typed)
 from .steenrod import SqSum, choose_mod2
 
 
-@dataclass(frozen=True)
-class CellDiagram:
+@checked
+class CellDiagram(NamedTuple):
     cells: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         degs = dict(self.cells)
         if len(degs) != len(self.cells):
             raise DiagramError("duplicate cell labels")

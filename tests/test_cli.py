@@ -578,8 +578,25 @@ def _extra_key(entry):
     return {**entry, "extra": 1}
 
 
+def _dim_disagrees_with_labels(entry):
+    (s, t, d), *rest = entry["dims"]
+    return {**entry, "dims": [[s, t, d + 2], *rest]}
+
+
+def _dims_without_labels(entry):
+    return {**entry, "labels": entry["labels"][1:]}
+
+
+def _product_past_dim(entry):
+    first, *rest = entry["products"]
+    s, t, i = first["from"]
+    return {**entry, "products": [{**first, "from": [s, t, i + 1]}, *rest]}
+
+
 @pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _true_dim, _float_dim, _number_label,
-                                   _string_stem_max, _number_annotation, _extra_key])
+                                   _string_stem_max, _number_annotation, _extra_key,
+                                   _dim_disagrees_with_labels, _dims_without_labels,
+                                   _product_past_dim])
 def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, spoil):
     # An entry that does not decode to a chart writing it back exactly is a
     # miss: the chart is recomputed and the entry rewritten in full.
@@ -627,8 +644,11 @@ def test_stdout_data_stderr_diagnostics(capsys):
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _ENGINE = {"barpage", "bounds", "classify", "extpower", "f2linalg", "render",
            "resolution", "steenrod", "stmodule"}
+# Each process also reports whether it loaded dataclasses or its import
+# inspect: about 10 ms of start-up that the NamedTuple records do not pay.
 _REPORT_ENGINE = ("import sys\nfrom hcm import cli\ncode = cli.main(sys.argv[1:])\n"
-                  "print(code, *sorted(m[4:] for m in sys.modules if m.startswith('hcm.')))")
+                  "print(code, *sorted(m[4:] for m in sys.modules if m.startswith('hcm.')),\n"
+                  "      *(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
 
 
 @pytest.mark.parametrize("argv, engine", [
@@ -652,3 +672,4 @@ def test_each_command_imports_only_its_engine(tmp_path, argv, engine):
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     assert set(loaded) & _ENGINE == engine
+    assert not set(loaded) & {"dataclasses", "inspect"}

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -287,7 +286,7 @@ def test_verify_catches_a_changed_differential_entry():
     entries[2] = SqSum.of(4)
     diff2 = dict(res.diff[2])
     diff2[g.index] = tuple(sorted(entries.items()))
-    bad = replace(res, diff=res.diff[:2] + (diff2,) + res.diff[3:])
+    bad = res._replace(diff=res.diff[:2] + (diff2,) + res.diff[3:])
     assert rs.verify(bad) == [f"d.d != 0 at stage 2, generator {g.index}",
                               "d.d != 0 at stage 3, generator 4"]
 
@@ -453,11 +452,11 @@ def test_h0_string_refusals():
     tower = rs.ExtChart(3, 10, {(1, 4): 1, (2, 5): 1, (3, 6): 1}, {}, up, cell_degrees=(0,))
     with pytest.raises(RefusalError, match="h0 string in stem 3 reaches the computed boundary"):
         rs.homotopy_from_chart(tower, 3)
-    flagged = replace(tower, torsion_free_top_stems=frozenset({3}))
+    flagged = tower._replace(torsion_free_top_stems=frozenset({3}))
     assert rs.homotopy_from_chart(flagged, 3) == AbelianGroup.Z
     # Two classes at (1, 4) with an h0 edge to the same class merge.
     merge = {0: (((1, 4, 0), (2, 5, 0)), ((1, 4, 1), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
-    branched = replace(tower, dims={(1, 4): 2, (2, 5): 1, (3, 6): 1}, products=merge)
+    branched = tower._replace(dims={(1, 4): 2, (2, 5): 1, (3, 6): 1}, products=merge)
     with pytest.raises(RefusalError, match="h0 structure in stem 3 branches"):
         rs.homotopy_from_chart(branched, 3)
 
