@@ -71,6 +71,8 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} file {path!r}: bad JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what} file {path!r}: JSON nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
 

@@ -1,15 +1,15 @@
 """Exact dense linear algebra over GF(2) with bit-packed rows.
 
 Rows are stored as Python integers, one bit per entry (bit ``j`` of row
-``i`` is the (i, j) entry), so XOR gives whole-row addition at machine
-speed.  All values are immutable; every operation returns new objects.
-Equality of matrices is semantic (rows/cols/entries), never about the
-packing.
+``i`` is the (i, j) entry), so XOR gives whole-row addition.  Every
+RREF, kernel and solution comes from one elimination, ``echelon`` or
+``tagged_echelon``, and ``reduced_basis``.  Values are immutable, and
+matrices compare by shape and entries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ContractViolationError, checked
 
@@ -147,10 +147,7 @@ def reduced_basis(vectors: Iterable[int]) -> Iterator[int]:
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """Reduced row-echelon form of ``m`` and its pivot columns.
 
-    Uses insertion with immediate reduction: each row is XOR-reduced
-    against the current pivot rows until its leading bit lands in a free
-    column.  A final back-substitution clears pivot columns everywhere,
-    so the result is the (unique) RREF; the row space is preserved.
+    The rows are ``reduced_basis`` of m's, padded with zero rows.
     """
     out_rows = list(reduced_basis(m.data))
     cols = tuple(_low_bit(r) for r in out_rows)
@@ -188,35 +185,25 @@ def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
     return Subspace(r.data[: len(pivots)], ambient_dim)
 
 
-def relations(rows: Sequence[int], width: int) -> list[int]:
-    """{x : XOR of rows[i] over the set bits of x is 0}, as a reduced echelon basis.
-
-    ``reduced_basis`` of the relations ``tagged_echelon`` finds (Bruner
-    1989), in increasing pivot order; the resolver reads its kernels so.
-    """
-    return list(reduced_basis(tagged_echelon(rows, width)[1]))
-
-
 def kernel(m: F2Matrix) -> Subspace:
-    """Null space {x : m x = 0}, basis in reduced echelon form."""
-    return Subspace(tuple(relations(m.transpose().data, m.rows)), m.rows)
+    """Null space {x : m x = 0}: the reduced echelon basis of the relations
+    among m's columns, which ``tagged_echelon`` finds (Bruner 1989).
+    """
+    rels = tagged_echelon(m.transpose().data, m.rows)[1]
+    return Subspace(tuple(reduced_basis(rels)), m.cols)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:
     """Some x with m x = b, or None if b is outside the column space.
 
-    ``b`` is a bit-packed vector of length ``m.rows``.
+    ``b`` is a bit-packed vector of length ``m.rows``.  ``tagged_echelon``
+    runs over m's columns with b last.  b is in the column space exactly
+    when its row cancels; its relation is then the last, as each one's
+    top bit is its own row's, and without b's own tag it is x.
     """
     if b < 0 or b >> m.rows:
         raise ContractViolationError("right-hand side longer than row count")
-    aug_rows = []
-    for i, row in enumerate(m.data):
-        aug_rows.append(row | (((b >> i) & 1) << m.cols))
-    r, pivots = rref(F2Matrix(m.rows, m.cols + 1, tuple(aug_rows)))
-    if m.cols in pivots:
-        return None
-    x = 0
-    for i, p in enumerate(pivots):
-        if (r.data[i] >> m.cols) & 1:
-            x |= 1 << p
-    return x
+    rels = tagged_echelon(m.transpose().data + (b,), m.rows)[1]
+    if rels and rels[-1] >> m.cols:
+        return rels[-1] ^ 1 << m.cols
+    return None

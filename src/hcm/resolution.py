@@ -354,10 +354,14 @@ class ExtChart(NamedTuple):
     products: dict
     trusted_stem_max: Optional[int] = None
     stage_min_degree: tuple[int, ...] = ()
-    bottom: Optional[int] = None
     cell_degrees: tuple[int, ...] = ()
     torsion_free_top_stems: frozenset = frozenset()
     annotations: tuple[str, ...] = ()
+
+    @property
+    def bottom(self) -> Optional[int]:
+        """The module's lowest cell degree, or None when it has no cells."""
+        return self.cell_degrees[0] if self.cell_degrees else None
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
@@ -408,8 +412,9 @@ def chart_from_json(obj: dict) -> ExtChart:
     (``TypeError`` otherwise): an integer is not ``true`` or ``4.0``.
 
     A chart that disagrees with itself is a ``ValueError``: each spot's
-    dimension is its label count, and a product endpoint (s, t, i) has
-    i < dim(s, t).
+    dimension is its label count, an h_k edge (k <= 2) joins (s, t, i)
+    to (s+1, t+2^k, j) with i < dim(s, t) and j < dim(s+1, t+2^k), and
+    each k's edges are sorted without repeats, as ``ext_chart`` emits them.
     """
     num = lambda v, name: typed(v, int, name)
     maybe = lambda name: None if obj[name] is None else num(obj[name], name)
@@ -420,16 +425,21 @@ def chart_from_json(obj: dict) -> ExtChart:
         raise ValueError("chart dims disagree with its label counts")
     products = {}
     for p in obj["products"]:
-        ends = (listed(p["from"], int, "from"), listed(p["to"], int, "to"))
-        for s, t, i in ends:
-            if not 0 <= i < dims.get((s, t), 0):
-                raise ValueError(f"product endpoint {[s, t, i]} is past dim({s}, {t})")
-        products.setdefault(num(p["k"], "k"), []).append(ends)
+        k, ends = num(p["k"], "k"), (listed(p["from"], int, "from"), listed(p["to"], int, "to"))
+        (s, t, i), (s2, t2, j) = ends
+        if k not in (0, 1, 2) or (s2, t2) != (s + 1, t + 2 ** k):
+            raise ValueError(f"no h{k} edge runs from {list(ends[0])} to {list(ends[1])}")
+        if not (0 <= i < dims.get((s, t), 0) and 0 <= j < dims.get((s2, t2), 0)):
+            raise ValueError(f"an endpoint of {list(ends[0])} -> {list(ends[1])} is past its dim")
+        products.setdefault(k, []).append(ends)
+    for k, edges in products.items():
+        if any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"the h{k} edges are not sorted without repeats")
     return ExtChart(
         max_s=num(obj["max_s"], "max_s"), max_t=num(obj["max_t"], "max_t"), dims=dims,
         labels=labels, products={k: tuple(v) for k, v in products.items()},
         trusted_stem_max=maybe("trusted_stem_max"), stage_min_degree=ints("stage_min_degree"),
-        bottom=maybe("bottom"), cell_degrees=ints("cell_degrees"),
+        cell_degrees=ints("cell_degrees"),
         torsion_free_top_stems=frozenset(ints("torsion_free_top_stems")),
         annotations=listed(obj["annotations"], str, "annotations"))
 
@@ -468,7 +478,6 @@ def ext_chart(res: FreeResolution,
         trusted_stem_max=trusted,
         stage_min_degree=tuple(min((g.t for g in st), default=res.max_t + 1)
                                for st in res.stages),
-        bottom=m.bottom_nonzero,
         cell_degrees=tuple(d for d in range(m.lo, m.hi + 1) if m.dim(d)),
         torsion_free_top_stems=frozenset(torsion_free_top_stems))
 

@@ -8,7 +8,9 @@ to sums of admissible monomials through the Adem relations
 
 with binomial coefficients mod 2 evaluated by Lucas' theorem.  Sums are
 carried by :class:`SqSum`, a canonically ordered GF(2) linear
-combination of admissible monomials of one degree.
+combination of admissible monomials of one degree: ``SqSum(())`` is
+zero, ``SqSum(((),))`` is the unit, ``adem_reduce`` straightens a word
+and ``product`` multiplies two sums.
 
 Inside this module a sum is a bitmask over ``basis(d)``.  Straightening
 applies a word one letter at a time through ``_left_mul(i, d)``, the
@@ -23,7 +25,7 @@ other.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractViolationError, checked
 from .f2linalg import _bits
@@ -38,10 +40,6 @@ def choose_mod2(m: int, n: int) -> int:
     return 0 if (n & (m - n)) else 1
 
 
-def degree(mon: Sequence[int]) -> int:
-    return sum(mon)
-
-
 def is_admissible(mon: Sequence[int]) -> bool:
     return all(mon[j] >= 2 * mon[j + 1] for j in range(len(mon) - 1))
 
@@ -51,7 +49,8 @@ class SqSum(NamedTuple):
     """A GF(2) sum of admissible monomials, all of one degree.
 
     ``terms`` is sorted descending, which makes equality and string form
-    canonical.  The zero sum is ``SqSum(())`` with degree ``None``.
+    canonical.  The zero sum is ``SqSum(())`` with degree ``None``; the
+    unit is ``SqSum(((),))``.
     """
 
     terms: tuple[SqMonomial, ...]
@@ -62,32 +61,8 @@ class SqSum(NamedTuple):
         for t in self.terms:
             if not is_admissible(t):
                 raise ContractViolationError(f"inadmissible monomial {t} in SqSum")
-        if len({degree(t) for t in self.terms}) > 1:
+        if len({sum(t) for t in self.terms}) > 1:
             raise ContractViolationError("SqSum mixes degrees")
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def zero() -> "SqSum":
-        return SqSum(())
-
-    @staticmethod
-    def unit() -> "SqSum":
-        return SqSum(((),))
-
-    @staticmethod
-    def of(*word: int) -> "SqSum":
-        """Sq^{word[0]} ... Sq^{word[-1]}, straightened."""
-        return adem_reduce(word)
-
-    @staticmethod
-    def from_terms(terms: Iterable[SqMonomial]) -> "SqSum":
-        acc: set[SqMonomial] = set()
-        for t in terms:
-            acc.symmetric_difference_update({tuple(t)})
-        return SqSum(tuple(sorted(acc, reverse=True)))
-
-    # -- structure ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -95,13 +70,7 @@ class SqSum(NamedTuple):
 
     @property
     def degree(self):
-        return degree(self.terms[0]) if self.terms else None
-
-    def __add__(self, other: "SqSum") -> "SqSum":
-        return SqSum.from_terms(self.terms + other.terms)
-
-    def __mul__(self, other: "SqSum") -> "SqSum":
-        return product(self, other)
+        return sum(self.terms[0]) if self.terms else None
 
     def __str__(self) -> str:
         if not self.terms:
@@ -109,13 +78,6 @@ class SqSum(NamedTuple):
         def mono(m):
             return "1" if m == () else "".join(f"Sq{i}" for i in m)
         return " + ".join(mono(m) for m in self.terms)
-
-
-def Sq(i: int) -> SqSum:
-    """The generator Sq^i (Sq^0 is the unit)."""
-    if i < 0:
-        raise ContractViolationError("Sq index must be non-negative")
-    return SqSum.unit() if i == 0 else SqSum(((i,),))
 
 
 @lru_cache(maxsize=None)
@@ -207,14 +169,14 @@ def mask_product(a: SqSum, b: SqSum) -> int:
 def product(a: SqSum, b: SqSum) -> SqSum:
     """Concatenate-and-reduce product, bilinear over GF(2)."""
     if a.is_zero or b.is_zero:
-        return SqSum.zero()
+        return SqSum(())
     return _from_mask(mask_product(a, b), a.degree + b.degree)
 
 
 @lru_cache(maxsize=None)
 def monomial_product(ma: SqMonomial, mb: SqMonomial) -> SqSum:
-    d = degree(mb)
-    return _from_mask(_apply(ma, d, 1 << _index(d)[mb]), degree(ma) + d)
+    d = sum(mb)
+    return _from_mask(_apply(ma, d, 1 << _index(d)[mb]), sum(ma) + d)
 
 
 @lru_cache(maxsize=None)

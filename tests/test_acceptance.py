@@ -225,7 +225,7 @@ def test_criterion_6_properties(capsys):
             if sum(degs) > 20:
                 continue
             a, b, c = (sq.SqSum((rng.choice(sq.basis(d)),)) for d in degs)
-            ok = ok and (a * b) * c == a * (b * c)
+            ok = ok and sq.product(sq.product(a, b), c) == sq.product(a, sq.product(b, c))
 
         # d.d = 0 and minimality on every produced resolution
         produced = [

@@ -439,15 +439,20 @@ def test_stems_fields_are_read_by_type(tmp_path, capsys, where, key, value):
 ])
 def test_unreadable_files_exit_2(tmp_path, capsys, what, argv):
     # Module and stems files share one reader: a missing file, one that is
-    # not UTF-8 and one that is not JSON each end in one line naming the file.
+    # not UTF-8, one that is not JSON and one nested too deeply for the
+    # decoder's recursion each end in one line naming the file.
     missing, latin, bad = tmp_path / "missing.json", tmp_path / "latin.json", tmp_path / "bad.json"
+    deep = tmp_path / "deep.json"
     latin.write_bytes(b'{"k": "\xff"}')
     bad.write_text('{"k": 7,\n oops', encoding="utf-8")
+    deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")  # json.dumps would recurse
     for path, start in ((missing, f"cannot read {what} file"), (latin, f"cannot read {what} file"),
-                        (bad, f"{what} file")):
+                        (deep, f"{what} file"), (bad, f"{what} file")):
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {start} {str(path)!r}: ") and err.count("\n") == 1
+        if path == deep:
+            assert err.endswith(": JSON nested too deeply\n")
     assert err == f"error: {what} file {str(bad)!r}: bad JSON at line 2\n"
 
 
@@ -593,10 +598,31 @@ def _product_past_dim(entry):
     return {**entry, "products": [{**first, "from": [s, t, i + 1]}, *rest]}
 
 
+def _product_wrong_target(entry):
+    # the last h2 edge, sent to a spot that exists but is not t + 4 above
+    *rest, last = entry["products"]
+    return {**entry, "products": [*rest, {**last, "to": [3, 3, 0]}]}
+
+
+def _product_k3(entry):
+    return {**entry, "products": [*entry["products"], {"k": 3, "from": [0, 0, 0],
+                                                       "to": [1, 8, 0]}]}
+
+
+def _product_repeated(entry):
+    return {**entry, "products": [*entry["products"], entry["products"][-1]]}
+
+
+def _products_unsorted(entry):
+    first, second, *rest = entry["products"]
+    return {**entry, "products": [second, first, *rest]}
+
+
 @pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _true_dim, _float_dim, _number_label,
                                    _string_stem_max, _number_annotation, _extra_key,
                                    _dim_disagrees_with_labels, _dims_without_labels,
-                                   _product_past_dim])
+                                   _product_past_dim, _product_wrong_target, _product_k3,
+                                   _product_repeated, _products_unsorted])
 def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, spoil):
     # An entry that does not decode to a chart writing it back exactly is a
     # miss: the chart is recomputed and the entry rewritten in full.
@@ -610,6 +636,19 @@ def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, s
     assert run(capsys, *argv) == (0, fresh, "")
     assert entry.read_text(encoding="utf-8") == whole
     assert list(tmp_path.iterdir()) == [entry]
+
+
+def test_a_deeply_nested_chart_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    # json.dumps would recurse as deep as the decoder, so the text is written raw
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path))
+    argv = ("ext", "--module", "builtin:sphere", "--max-s", "3", "--max-t", "8")
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    entry, = tmp_path.glob("*.json")
+    whole = entry.read_text(encoding="utf-8")
+    entry.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert run(capsys, *argv) == (0, fresh, "")
+    assert entry.read_text(encoding="utf-8") == whole
 
 
 def test_rendered_chart_round_trip():

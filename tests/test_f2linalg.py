@@ -125,9 +125,10 @@ def test_kernel_examples():
     k = f2.kernel(from_lists([[1, 1]], 2))
     assert k.basis == (0b11,)
     k = f2.kernel(f2.F2Matrix.zero(1, 3))
-    assert k.dim == 3
+    assert k.dim == 3 and k.ambient_dim == 3
     # rows 0 and 1 are equal, row 2 is independent: one relation
-    assert f2.relations([0b01, 0b01, 0b10], 2) == [0b011]
+    k = f2.kernel(f2.F2Matrix(3, 2, (0b01, 0b01, 0b10)).transpose())
+    assert k.basis == (0b011,) and k.ambient_dim == 3
 
 
 def test_kernel_vectors_annihilate():
@@ -191,14 +192,16 @@ def test_solve_underdetermined():
 
 
 def test_solve_round_trip_random():
+    # 0 x n and n x 0 systems included; about a quarter of the rows are zero
     rng = random.Random(23)
-    for _ in range(100):
-        rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
-        m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+    for _ in range(300):
+        rows, cols = rng.randrange(0, 10), rng.randrange(0, 10)
+        m = f2.F2Matrix(rows, cols, tuple(rng.getrandbits(cols) if rng.random() < 0.75 else 0
+                                          for _ in range(rows)))
         b = rng.getrandbits(rows)
         x = f2.solve(m, b)
         if x is not None:
-            assert parity_product(m, x) == b
+            assert parity_product(m, x) == b and x >> cols == 0
         else:
             # b outside the column space: confirm by brute force when small.
             if cols <= 8:
@@ -270,9 +273,9 @@ def test_relations_and_rank_match_a_full_rref(nrows, width, rng):
     # about a quarter of the rows are zero, so relations are common
     rows = [rng.getrandbits(width) if rng.random() < 0.75 else 0 for _ in range(nrows)]
     want = full_rref_relations(rows, width)
-    got = f2.relations(rows, width)
-    assert got == want and all(v >> nrows == 0 for v in got)
     m = f2.F2Matrix(nrows, width, tuple(rows))
+    got = f2.kernel(m.transpose())  # the relations among m's rows
+    assert list(got.basis) == want and all(v >> nrows == 0 for v in got.basis)
     assert len(f2.echelon(rows)) == len(f2.rref(m)[1]) == nrows - len(want)
 
 

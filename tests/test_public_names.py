@@ -1,0 +1,47 @@
+"""Each public name of the bottom layers has a caller in the package or the benchmarks.
+
+A function or class that only the tests call is a second way to do a job
+the package does otherwise; this keeps such names from coming back.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted((ROOT / "src" / "hcm").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """Names under ``node``: bare, as attributes, imported, or passed as a string
+    argument, as ``getattr``-style probes name them."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+        elif isinstance(n, ast.Call):
+            out.update(a.value for a in n.args
+                       if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return out
+
+
+@pytest.mark.parametrize("module", ["f2linalg", "steenrod"])
+def test_every_public_name_has_a_caller(module):
+    tree = ast.parse((ROOT / "src" / "hcm" / f"{module}.py").read_text(encoding="utf-8"))
+    public = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+              and not n.name.startswith("_")]
+    assert public
+    seen: Counter = Counter()
+    for path in CALLERS:
+        seen.update(_mentions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    # a definition's own body, a recursive call say, does not count as a caller
+    idle = [n.name for n in public if seen[n.name] <= _mentions(n)[n.name]]
+    assert idle == [], f"{module}: no caller outside the definition of {idle}"

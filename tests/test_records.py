@@ -47,10 +47,12 @@ CHECKED = [
      "inconsistent matrix shape"),
     (f2linalg.F2Matrix(2, 2, (1, 2)), {"data": (1, 4)}, ContractViolationError,
      "row has bits beyond the last column"),
-    (steenrod.Sq(3), {"terms": ((2, 1), (3,))}, ContractViolationError,
+    (steenrod.SqSum(((3,),)), {"terms": ((2, 1), (3,))}, ContractViolationError,
      "SqSum terms must be distinct and sorted"),
-    (steenrod.Sq(3), {"terms": ((1, 2),)}, ContractViolationError, "inadmissible monomial"),
-    (steenrod.Sq(3), {"terms": ((3,), (2,))}, ContractViolationError, "SqSum mixes degrees"),
+    (steenrod.SqSum(((3,),)), {"terms": ((1, 2),)}, ContractViolationError,
+     "inadmissible monomial"),
+    (steenrod.SqSum(((3,),)), {"terms": ((3,), (2,))}, ContractViolationError,
+     "SqSum mixes degrees"),
     (groups.AbelianGroup(1, (4, 2)), {"free_rank": -1}, ContractViolationError,
      "negative free rank"),
     (groups.AbelianGroup(1, (4, 2)), {"torsion": (6,)}, ContractViolationError,
@@ -94,9 +96,9 @@ def test_a_replaced_subspace_reads_its_pivots_off_the_new_basis():
 
 
 def test_equal_sums_built_apart_share_one_product_cache_entry():
-    a = steenrod.SqSum.of(4, 6)  # Sq10 + Sq8Sq2
-    b = steenrod.SqSum.from_terms(reversed(a.terms))
-    right = steenrod.Sq(5)
+    a = steenrod.adem_reduce((4, 6))
+    b = steenrod.SqSum(((10,), (8, 2)))  # Sq10 + Sq8Sq2, written out
+    right = steenrod.SqSum(((5,),))
     assert a == b and a is not b and hash(a) == hash(b)
     first = steenrod.mask_product(a, right)
     before = steenrod.mask_product.cache_info()

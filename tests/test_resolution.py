@@ -282,8 +282,8 @@ def test_verify_catches_a_changed_differential_entry():
     g = res.stages[2][3]
     assert g.label == "h2^2·x0"
     entries = dict(res.diff[2][g.index])
-    assert entries[2] == SqSum.from_terms([(4,), (3, 1)])
-    entries[2] = SqSum.of(4)
+    assert entries[2] == SqSum(((4,), (3, 1)))
+    entries[2] = SqSum(((4,),))
     diff2 = dict(res.diff[2])
     diff2[g.index] = tuple(sorted(entries.items()))
     bad = res._replace(diff=res.diff[:2] + (diff2,) + res.diff[3:])

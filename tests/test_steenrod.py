@@ -15,6 +15,14 @@ from hcm.errors import ContractViolationError
 from hcm.steenrod import SqSum
 
 
+def xor_terms(terms):
+    """The sum of the monomials that occur an odd number of times in ``terms``."""
+    acc = set()
+    for t in terms:
+        acc ^= {t}
+    return SqSum(tuple(sorted(acc, reverse=True)))
+
+
 def brute_admissible_count(deg: int) -> int:
     """Independent recursion: sequences i_1 >= 2 i_2 >= 4 i_3 >= ... of weight deg."""
 
@@ -66,7 +74,7 @@ def test_basis_is_sorted_and_admissible():
     for d in range(15):
         mons = sq.basis(d)
         assert list(mons) == sorted(mons)
-        assert all(sq.is_admissible(m) and sq.degree(m) == d for m in mons)
+        assert all(sq.is_admissible(m) and sum(m) == d for m in mons)
 
 
 def test_basis_matches_recursive_enumeration():
@@ -103,7 +111,7 @@ def test_adem_idempotent_on_admissibles(mon):
 def test_product_associative(a, b, c):
     # total degree <= 30 by construction (each factor <= 10)
     x, y, z = SqSum((a,)), SqSum((b,)), SqSum((c,))
-    assert (x * y) * z == x * (y * z)
+    assert sq.product(sq.product(x, y), z) == sq.product(x, sq.product(y, z))
 
 
 def test_associativity_exhaustive_low_degrees():
@@ -114,7 +122,8 @@ def test_associativity_exhaustive_low_degrees():
                     for b in sq.basis(d2):
                         for c in sq.basis(d3):
                             x, y, z = SqSum((a,)), SqSum((b,)), SqSum((c,))
-                            assert (x * y) * z == x * (y * z)
+                            assert (sq.product(sq.product(x, y), z)
+                                    == sq.product(x, sq.product(y, z)))
 
 
 def test_adem_against_independent_rewriter():
@@ -128,24 +137,26 @@ def test_adem_against_independent_rewriter():
 
 
 def test_product_unit():
-    x = SqSum.of(4, 2, 1)
-    assert SqSum.unit() * x == x
-    assert x * SqSum.unit() == x
+    x, unit = sq.adem_reduce((4, 2, 1)), SqSum(((),))
+    assert sq.product(unit, x) == x
+    assert sq.product(x, unit) == x
 
 
 def test_product_examples():
-    assert (sq.Sq(1) * sq.Sq(1)).is_zero
-    assert (sq.Sq(2) * sq.Sq(2)).terms == ((3, 1),)
+    sq1, sq2 = SqSum(((1,),)), SqSum(((2,),))
+    assert sq.product(sq1, sq1).is_zero and sq.product(sq1, sq1) == SqSum(())
+    assert sq.product(sq2, sq2).terms == ((3, 1),)
 
 
 def test_product_bilinear():
-    a = SqSum.from_terms([(3,), (2, 1)])
-    b = SqSum.of(2)
-    assert a * b == SqSum.of(3) * b + SqSum.of(2, 1) * b
+    a = xor_terms([(3,), (2, 1)])
+    b = SqSum(((2,),))
+    parts = sq.product(SqSum(((3,),)), b).terms + sq.product(SqSum(((2, 1),)), b).terms
+    assert sq.product(a, b) == xor_terms(parts)
 
 
 sq_sums = st.integers(0, 12).flatmap(
-    lambda d: st.lists(st.sampled_from(sq.basis(d)), unique=True).map(SqSum.from_terms))
+    lambda d: st.lists(st.sampled_from(sq.basis(d)), unique=True).map(xor_terms))
 
 
 @given(sq_sums, sq_sums)
@@ -157,10 +168,10 @@ def test_product_matches_monomial_products(a, b):
         for ma in x.terms:
             for mb in y.terms:
                 acc.symmetric_difference_update(sq.monomial_product(ma, mb).terms)
-        return SqSum.from_terms(acc)
+        return xor_terms(acc)
 
     assert sq.product(a, b) == pairwise(a, b)
-    unit = SqSum.unit()
+    unit = SqSum(((),))
     assert sq.product(unit, b) == pairwise(unit, b) == b
     assert sq.product(a, unit) == pairwise(a, unit) == a
 
@@ -182,9 +193,9 @@ def test_choose_mod2_lucas():
 
 
 def test_str_forms():
-    assert str(SqSum.zero()) == "0"
-    assert str(SqSum.unit()) == "1"
-    assert str(SqSum.of(3, 1)) == "Sq3Sq1"
+    assert str(SqSum(())) == "0"
+    assert str(SqSum(((),))) == "1"
+    assert str(sq.adem_reduce((3, 1))) == "Sq3Sq1"
 
 
 def test_sq_masks_match_left_multiplication():
