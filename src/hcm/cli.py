@@ -6,7 +6,8 @@ each ``cmd_*`` returns a JSON payload (dict) or text (str), and ``main``
 alone stamps the schema and writes it.  Exit codes: 0 success, 2 bad
 input, 3 out of range, 4 refusal to assemble, 5 a failed self-check of
 the engine.  Set HCM_CACHE_DIR to cache chart computations between
-runs; only an exact entry is served, and anything else is recomputed.
+runs; each entry holds a chart and the sha256 of its sorted-key JSON,
+and an entry whose chart does not match its digest is recomputed.
 
 Each command imports only the engine modules it runs: a process serves
 one command, and most commands need one module.
@@ -94,22 +95,25 @@ def _warn(module: GradedModule) -> None:
         print(f"warning: {text}", file=sys.stderr)
 
 
+def _digest(obj) -> str:
+    """The sha256 of ``obj``'s sorted-key JSON: a cache key, or an entry's check."""
+    import hashlib
+
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
     from . import resolution
 
     cache_dir = os.environ.get("HCM_CACHE_DIR")
     if cache_dir:
-        import hashlib
-
         # to_json() omits truncated, which sets the chart's trusted stems
-        blob = json.dumps([resolution.CHART_VERSION, module.to_json(), module.truncated,
-                           max_s, max_t], sort_keys=True)
-        key = os.path.join(cache_dir, hashlib.sha256(blob.encode()).hexdigest() + ".json")
+        key = os.path.join(cache_dir, _digest([resolution.CHART_VERSION, module.to_json(),
+                                               module.truncated, max_s, max_t]) + ".json")
         try:
             entry = read_json(key, "chart cache")
-            chart = resolution.chart_from_json(entry)
-            if chart.to_json() == entry:  # only an exact entry is served
-                return chart
+            if entry["sha256"] == _digest(entry["chart"]):  # an edited chart is a miss
+                return resolution.chart_from_json(entry["chart"])
         except (InputError, ValueError, KeyError, TypeError):
             pass  # a missing, unreadable or invalid entry is a miss; rewritten below
     res = resolution.minimal_resolution(module, max_s, max_t)
@@ -118,8 +122,9 @@ def _cached_chart(module: GradedModule, max_s: int, max_t: int) -> ExtChart:
         tmp = f"{key}.{os.getpid()}.tmp"
         try:
             os.makedirs(cache_dir, exist_ok=True)
+            chart_json = chart.to_json()
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(chart.to_json(), fh)
+                json.dump({"sha256": _digest(chart_json), "chart": chart_json}, fh)
             os.replace(tmp, key)  # readers never see a half-written entry
         except OSError as exc:
             with contextlib.suppress(OSError):

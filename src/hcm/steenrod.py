@@ -48,9 +48,9 @@ def is_admissible(mon: Sequence[int]) -> bool:
 class SqSum(NamedTuple):
     """A GF(2) sum of admissible monomials, all of one degree.
 
-    ``terms`` is sorted descending, which makes equality and string form
-    canonical.  The zero sum is ``SqSum(())`` with degree ``None``; the
-    unit is ``SqSum(((),))``.
+    ``terms`` is sorted descending, which makes equality canonical.  The
+    zero sum is ``SqSum(())`` with degree ``None``; the unit is
+    ``SqSum(((),))``.
     """
 
     terms: tuple[SqMonomial, ...]
@@ -71,13 +71,6 @@ class SqSum(NamedTuple):
     @property
     def degree(self):
         return sum(self.terms[0]) if self.terms else None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono(m):
-            return "1" if m == () else "".join(f"Sq{i}" for i in m)
-        return " + ".join(mono(m) for m in self.terms)
 
 
 @lru_cache(maxsize=None)

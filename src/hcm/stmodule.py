@@ -89,10 +89,6 @@ class GradedModule:
         return self._index[label]
 
     @property
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
-    @property
     def bottom_nonzero(self) -> Optional[int]:
         for d in range(self.lo, self.hi + 1):
             if self.dim(d):

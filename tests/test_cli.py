@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     payload = json.loads(out) if out.strip() else {}
     return code, payload, err
+
+
+def sha256_of(obj) -> str:
+    """The digest of ``obj``'s sorted-key JSON: the chart pins' recipe."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def test_ext_builtin_d2_chart(capsys):
@@ -495,6 +501,11 @@ def test_chart_cache_env(tmp_path, capsys, monkeypatch):
     assert cached
     code, out2, _ = run(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
     assert code == 0 and out1 == out2
+    # the entry's digest is the one the chart pins use, of the chart --json prints
+    code, payload, _ = run_json(capsys, "ext", "--module", "builtin:d2-o", "--n", "16")
+    assert code == 0
+    stored = json.loads(cached[0].read_text(encoding="utf-8"))
+    assert stored["sha256"] == sha256_of(payload["chart"])
     # a truncated entry is a miss: the chart is recomputed and the entry rewritten
     whole = cached[0].read_text(encoding="utf-8")
     cached[0].write_text(whole[: len(whole) // 2], encoding="utf-8")
@@ -618,21 +629,58 @@ def _products_unsorted(entry):
     return {**entry, "products": [second, first, *rest]}
 
 
-@pytest.mark.parametrize("spoil", [_cut_down, _string_dim, _true_dim, _float_dim, _number_label,
-                                   _string_stem_max, _number_annotation, _extra_key,
-                                   _dim_disagrees_with_labels, _dims_without_labels,
-                                   _product_past_dim, _product_wrong_target, _product_k3,
-                                   _product_repeated, _products_unsorted])
-def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, spoil):
-    # An entry that does not decode to a chart writing it back exactly is a
-    # miss: the chart is recomputed and the entry rewritten in full.
+# Three edits that leave the chart consistent with itself, so no check of
+# the chart alone can see them; each would change what group assembly trusts.
+def _last_h0_edge_dropped(entry):
+    last = max(i for i, p in enumerate(entry["products"]) if p["k"] == 0)
+    return {**entry, "products": [p for i, p in enumerate(entry["products"]) if i != last]}
+
+
+def _last_stage_floor_raised(entry):
+    *rest, last = entry["stage_min_degree"]
+    return {**entry, "stage_min_degree": [*rest, last + 5]}
+
+
+def _stem_3_flagged_torsion_free(entry):
+    return {**entry, "torsion_free_top_stems": sorted({*entry["torsion_free_top_stems"], 3})}
+
+
+def _pre_digest_entry(entry):
+    return entry["chart"]
+
+
+def _digest_over_a_chart_without_dims(entry):
+    chart = {k: v for k, v in entry["chart"].items() if k != "dims"}
+    return {"sha256": sha256_of(chart), "chart": chart}
+
+
+def _in_chart(spoil):
+    """A case that spoils the entry's chart and keeps its stored digest."""
+    return pytest.param(lambda entry: {**entry, "chart": spoil(entry["chart"])},
+                        id=spoil.__name__)
+
+
+@pytest.mark.parametrize("rewrite", [
+    *map(_in_chart, [_cut_down, _string_dim, _true_dim, _float_dim, _number_label,
+                     _string_stem_max, _number_annotation, _extra_key,
+                     _dim_disagrees_with_labels, _dims_without_labels, _product_past_dim,
+                     _product_wrong_target, _product_k3, _product_repeated, _products_unsorted,
+                     _last_h0_edge_dropped, _last_stage_floor_raised,
+                     _stem_3_flagged_torsion_free]),
+    _pre_digest_entry, _digest_over_a_chart_without_dims])
+def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, rewrite):
+    # An entry whose chart does not match its stored digest, or that has no
+    # digest or no decodable chart, is a miss: the chart is recomputed and
+    # the entry rewritten in full.
     monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path))
     argv = ("ext", "--module", "builtin:sphere", "--max-s", "3", "--max-t", "8")
     code, fresh, _ = run(capsys, *argv)
     assert code == 0
     entry, = tmp_path.glob("*.json")
     whole = entry.read_text(encoding="utf-8")
-    entry.write_text(json.dumps(spoil(json.loads(whole))), encoding="utf-8")
+    spoiled = json.dumps(rewrite(json.loads(whole)))
+    assert spoiled != whole
+    entry.write_text(spoiled, encoding="utf-8")
     assert run(capsys, *argv) == (0, fresh, "")
     assert entry.read_text(encoding="utf-8") == whole
     assert list(tmp_path.iterdir()) == [entry]

@@ -122,7 +122,7 @@ def test_d2_integral_chart_homology():
 
 def test_splitting_summand_contents():
     bo, d2 = ep.d2_splitting_summands(16)
-    assert bo.total_dim == 1 and bo.labels(15) == ("y15",)
+    assert sum(len(v) for v in bo.basis.values()) == 1 and bo.labels(15) == ("y15",)
     assert [d2.dim(d) for d in range(30, 34)] == [1, 1, 1, 1]
     _, d2 = ep.d2_splitting_summands(17)
     labels = [lbl for d in range(32, 36) for lbl in d2.labels(d)]
@@ -150,7 +150,7 @@ def test_window_range_guard():
 
 def test_d2_of_zero_module():
     z = ep.d2_homology(sm.zero_module((0, 3)), (0, 3))
-    assert z.total_dim == 0
+    assert sum(len(v) for v in z.basis.values()) == 0
 
 
 @pytest.mark.parametrize("d", [7, 8, 9, 11, 12, 15, 16, 20])

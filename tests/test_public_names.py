@@ -1,7 +1,8 @@
 """Each public name of the bottom layers has a caller in the package or the benchmarks.
 
-A function or class that only the tests call is a second way to do a job
-the package does otherwise; this keeps such names from coming back.
+A function, class, method or property that only the tests call is a
+second way to do a job the package does otherwise; this keeps such names
+from coming back.  A dunder method is not a public name, so it is not seen.
 """
 
 from __future__ import annotations
@@ -33,11 +34,23 @@ def _mentions(node: ast.AST) -> Counter:
     return out
 
 
-@pytest.mark.parametrize("module", ["f2linalg", "steenrod"])
+def _public(body) -> list:
+    """The public functions and classes of ``body``, and the public methods and
+    properties of each class."""
+    out = []
+    for n in body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_"):
+            out.append(n)
+            if isinstance(n, ast.ClassDef):
+                out += [m for m in n.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("module", ["f2linalg", "steenrod", "stmodule"])
 def test_every_public_name_has_a_caller(module):
     tree = ast.parse((ROOT / "src" / "hcm" / f"{module}.py").read_text(encoding="utf-8"))
-    public = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-              and not n.name.startswith("_")]
+    public = _public(tree.body)
     assert public
     seen: Counter = Counter()
     for path in CALLERS:

@@ -192,12 +192,6 @@ def test_choose_mod2_lucas():
             assert sq.choose_mod2(m, n) == (comb(m, n) % 2 if 0 <= n <= m else 0)
 
 
-def test_str_forms():
-    assert str(SqSum(())) == "0"
-    assert str(SqSum(((),))) == "1"
-    assert str(sq.adem_reduce((3, 1))) == "Sq3Sq1"
-
-
 def test_sq_masks_match_left_multiplication():
     # sq_masks comes from its own bitmask recursion over first_letters;
     # _left_mul straightens through _adem_pair and its own position index,

@@ -102,9 +102,9 @@ def test_round_trip_all_builtin_diagrams():
 
 def test_total_dimension_matches_cell_counts():
     # residues 0/1/4 have 1/3/3 cells in the window
-    assert sm.builtin("o:0", 16).total_dim == 1
-    assert sm.builtin("o:1", 17).total_dim == 3
-    assert sm.builtin("o:4", 12).total_dim == 3
+    assert sum(len(v) for v in sm.builtin("o:0", 16).basis.values()) == 1
+    assert sum(len(v) for v in sm.builtin("o:1", 17).basis.values()) == 3
+    assert sum(len(v) for v in sm.builtin("o:4", 12).basis.values()) == 3
 
 
 def test_tensor_unit():
