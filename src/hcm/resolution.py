@@ -38,15 +38,16 @@ one slice; a free module's action XORs one cached ``steenrod.sq_masks``
 row per set bit.  Stage s + 1 reads stage s's relations but not its
 images, so those are dropped as soon as stage s is laid out.
 
-Charts record, besides dimensions and h_0/h_1/h_2 products, how far
+Charts record, besides class labels and h_0/h_1/h_2 products, how far
 they can be trusted:
 
 * ``trusted_stem_max`` - a window module is the quotient of the full
   cohomology by top degrees, so Ext agrees with the untruncated answer
   only in stems <= top - 1;
-* stage minimum degrees - over a connected algebra each stage of a
-  minimal resolution starts at least one degree above the previous one,
-  so a stem column is finished once the staircase passes it;
+* stage minimum degrees, read off the labels - over a connected algebra
+  each stage of a minimal resolution starts at least one degree above
+  the previous one, so a stem column is finished once the staircase
+  passes it;
 * cell degrees - positive-stem classes over a cell obey the classical
   vanishing line, bounding the filtration a column can reach.
 
@@ -340,20 +341,20 @@ def verify(res: FreeResolution) -> list[str]:
 
 
 class ExtChart(NamedTuple):
-    """Bigraded dimensions with labels and h_0/h_1/h_2 product edges.
+    """Bigraded class labels with h_0/h_1/h_2 product edges.
 
-    ``products[k]`` lists ((s, t, i), (s+1, t+2^k, j)) pairs.  The trust
-    metadata (stem bound from module truncation, stage floors from
-    minimality) lets group assembly prove a column is complete.
+    ``labels`` is the one record of which classes exist; dimensions and
+    stage floors are read off it.  ``products[k]`` lists ((s, t, i),
+    (s+1, t+2^k, j)) pairs.  The trust metadata (stem bound from module
+    truncation, stage floors from minimality) lets group assembly prove
+    a column is complete.
     """
 
     max_s: int
     max_t: int
-    dims: dict
     labels: dict
     products: dict
     trusted_stem_max: Optional[int] = None
-    stage_min_degree: tuple[int, ...] = ()
     cell_degrees: tuple[int, ...] = ()
     torsion_free_top_stems: frozenset = frozenset()
     annotations: tuple[str, ...] = ()
@@ -363,8 +364,18 @@ class ExtChart(NamedTuple):
         """The module's lowest cell degree, or None when it has no cells."""
         return self.cell_degrees[0] if self.cell_degrees else None
 
+    @property
+    def dims(self) -> dict:
+        return {spot: len(ls) for spot, ls in self.labels.items() if ls}
+
     def dim(self, s: int, t: int) -> int:
-        return self.dims.get((s, t), 0)
+        return len(self.labels.get((s, t), ()))
+
+    @property
+    def stage_min_degree(self) -> tuple[int, ...]:
+        """Each stage's lowest generator degree, max_t + 1 for an empty stage."""
+        return tuple(min((t for (s2, t), ls in self.labels.items() if s2 == s and ls),
+                         default=self.max_t + 1) for s in range(self.max_s + 1))
 
     def stem_complete(self, stem: int) -> bool:
         """True when no class in this stem can sit outside the computed rectangle.
@@ -380,8 +391,7 @@ class ExtChart(NamedTuple):
         """
         if self.trusted_stem_max is not None and stem > self.trusted_stem_max:
             return False
-        if self.stage_min_degree and stem <= self.max_t - self.max_s \
-                and stem < self.stage_min_degree[-1] - self.max_s:
+        if stem <= self.max_t - self.max_s and stem < self.stage_min_degree[-1] - self.max_s:
             return True
         if stem in self.cell_degrees:
             return False
@@ -393,7 +403,7 @@ class ExtChart(NamedTuple):
         return {
             "max_s": self.max_s,
             "max_t": self.max_t,
-            "dims": [[s, t, d] for (s, t), d in sorted(self.dims.items()) if d],
+            "dims": [[s, t, d] for (s, t), d in sorted(self.dims.items())],
             "labels": [[s, t, list(ls)] for (s, t), ls in sorted(self.labels.items()) if ls],
             "products": [
                 {"k": k, "from": list(a), "to": list(b)}
@@ -420,11 +430,10 @@ def chart_from_json(obj: dict) -> ExtChart:
     for p in obj["products"]:
         products.setdefault(p["k"], []).append((tuple(p["from"]), tuple(p["to"])))
     return ExtChart(
-        max_s=obj["max_s"], max_t=obj["max_t"], dims={(s, t): d for s, t, d in obj["dims"]},
+        max_s=obj["max_s"], max_t=obj["max_t"],
         labels={(s, t): tuple(ls) for s, t, ls in obj["labels"]},
         products={k: tuple(v) for k, v in products.items()},
         trusted_stem_max=obj["trusted_stem_max"],
-        stage_min_degree=tuple(obj["stage_min_degree"]),
         cell_degrees=tuple(obj["cell_degrees"]),
         torsion_free_top_stems=frozenset(obj["torsion_free_top_stems"]),
         annotations=tuple(obj["annotations"]))
@@ -434,8 +443,8 @@ def ext_chart(res: FreeResolution,
               torsion_free_top_stems: Sequence[int] = ()) -> ExtChart:
     """Read the E2 chart off a minimal resolution.
 
-    dims count generators; an h_k edge joins generators whose
-    differential entry contains the bare monomial Sq^{2^k}.
+    Each generator is a class, under its label; an h_k edge joins
+    generators whose differential entry contains the bare monomial Sq^{2^k}.
     """
     labels: dict = {}
     at: dict = {}
@@ -444,8 +453,6 @@ def ext_chart(res: FreeResolution,
             spot = labels.setdefault((s, g.t), [])
             at[(s, g.index)] = (s, g.t, len(spot))
             spot.append(g.label)
-    dims = {k: len(v) for k, v in labels.items()}
-    labels = {k: tuple(v) for k, v in labels.items()}
     products: dict[int, list] = {0: [], 1: [], 2: []}
     for s in range(1, res.max_s + 1):
         for i, entries in res.diff[s].items():
@@ -459,11 +466,9 @@ def ext_chart(res: FreeResolution,
     # Ext is the untruncated answer exactly in stems <= hi - 1.
     trusted = m.hi - 1 if m.truncated else None
     return ExtChart(
-        max_s=res.max_s, max_t=res.max_t, dims=dims, labels=labels,
+        max_s=res.max_s, max_t=res.max_t, labels={k: tuple(v) for k, v in labels.items()},
         products={k: tuple(sorted(v)) for k, v in products.items()},
         trusted_stem_max=trusted,
-        stage_min_degree=tuple(min((g.t for g in st), default=res.max_t + 1)
-                               for st in res.stages),
         cell_degrees=tuple(d for d in range(m.lo, m.hi + 1) if m.dim(d)),
         torsion_free_top_stems=frozenset(torsion_free_top_stems))
 
@@ -473,37 +478,58 @@ def _at_boundary(chart: ExtChart, spot: tuple) -> bool:
     return spot[0] >= chart.max_s or spot[1] >= chart.max_t
 
 
+def _h0_strings(chart: ExtChart) -> tuple[dict[int, list[list[tuple]]], set[int]]:
+    """Every maximal h_0 string, bottom-up and by stem, and the tangled stems.
+
+    A stem is tangled when its h_0 edges branch or merge: its strings
+    need a basis change before they can be read as cyclic summands, so
+    nothing may be read off them.
+    """
+    up, hit, tangled = {}, set(), set()
+    for a, b in chart.products.get(0, ()):
+        if a in up or b in hit:
+            tangled.add(a[1] - a[0])
+        up[a] = b
+        hit.add(b)
+    strings: dict = {}
+    for (s, t), ls in sorted(chart.labels.items()):
+        for i in range(len(ls)):
+            run = [(s, t, i)]
+            if run[0] in hit:
+                continue
+            while run[-1] in up:
+                run.append(up[run[-1]])
+            strings.setdefault(t - s, []).append(run)
+    return strings, tangled
+
+
 def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> list[dict]:
     """All possible Adams d_r arrows between nonzero spots, source stem in window.
 
     An empty list certifies collapse in the window.  Arrows are reported
     for every r >= 2 with both endpoints inside the computed rectangle,
-    except those ruled out by h_0-linearity: if the source class has a
+    except those ruled out by h_0-linearity: if every source class has a
     finite h_0 string (h_0^L kills it) and the target sits on a
     torsion-free infinite tower (flagged stem, string capped at the
     rectangle top), a nonzero d_r would make h_0^L of a tower class
-    vanish, which it cannot.
+    vanish, which it cannot.  In a tangled stem no class is finite and
+    no spot is a tower.  Dimensions are read off the chart's labels.
     """
-    # h0 edges keep the stem and h0_next is a function, so every class on
-    # an h0 run has the run's top; each class is judged by its own top.
-    h0_next = dict(chart.products.get(0, ()))
-    tower_spots: set[tuple[int, int]] = set()
-    finite_sources: set[tuple[int, int, int]] = set()
-    for (s, t), d in chart.dims.items():
-        for i in range(d):
-            top = (s, t, i)
-            while top in h0_next:
-                top = h0_next[top]
-            if not _at_boundary(chart, top):
-                finite_sources.add((s, t, i))
-            elif t - s in chart.torsion_free_top_stems:
-                tower_spots.add((s, t))
+    strings, tangled = _h0_strings(chart)
+    finite: set[tuple[int, int, int]] = set()
+    towers: set[tuple[int, int]] = set()
+    for stem, runs in strings.items():
+        if stem in tangled:
+            continue
+        for run in runs:
+            if not _at_boundary(chart, run[-1]):
+                finite.update(run)
+            elif stem in chart.torsion_free_top_stems:
+                towers.update(c[:2] for c in run)
 
     arrows = []
     lo, hi = degree_window
     for (s, t), d in sorted(chart.dims.items()):
-        if not d:
-            continue
         stem = t - s
         if stem < lo or stem > hi:
             continue
@@ -511,39 +537,12 @@ def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> l
             s2, t2 = s + r, t + r - 1
             if t2 > chart.max_t or not chart.dim(s2, t2):
                 continue
-            if (s2, t2) in tower_spots and all(
-                    (s, t, i) in finite_sources for i in range(d)):
+            if (s2, t2) in towers and all((s, t, i) in finite for i in range(d)):
                 continue
             arrows.append({
                 "r": r, "from": (stem, s), "to": (stem - 1, s2),
                 "source": (s, t), "target": (s2, t2)})
     return arrows
-
-
-def _strings(chart: ExtChart, stem: int) -> list[list[tuple[int, int, int]]]:
-    """Maximal h_0 strings in one stem column, bottom-up.
-
-    Refuses columns whose h_0 edges branch or merge; those need a basis
-    change before they can be read as cyclic summands.
-    """
-    pairs = [(a, b) for a, b in chart.products.get(0, ())
-             if a[1] - a[0] == stem]
-    edges = dict(pairs)
-    targets = [b for _, b in pairs]
-    if len(edges) != len(pairs) or len(set(targets)) != len(targets):
-        raise RefusalError(f"h0 structure in stem {stem} branches; refusing to read")
-    hit = set(targets)
-    col = [(s, t, i) for (s, t), d in sorted(chart.dims.items())
-           if t - s == stem for i in range(d)]
-    strings = []
-    for c in col:
-        if c in hit:
-            continue
-        run = [c]
-        while run[-1] in edges:
-            run.append(edges[run[-1]])
-        strings.append(run)
-    return strings
 
 
 def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
@@ -552,8 +551,9 @@ def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
     Bounded strings of length m give Z/2^m; a string that touches the
     top of the computed region counts as a 2-complete Z only when the
     stem is flagged torsion-free-at-top, and is refused otherwise.
-    Refuses stems with possible Adams differentials or columns the
-    resolution cannot certify complete.
+    Refuses stems with possible Adams differentials, columns the
+    resolution cannot certify complete, and tangled columns (h_0 edges
+    that branch or merge).
     """
     if chart.trusted_stem_max is not None and stem > chart.trusted_stem_max:
         raise RefusalError(
@@ -567,15 +567,14 @@ def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
     if not chart.stem_complete(stem) and not flagged:
         raise RefusalError(
             f"stem {stem} column is not certified complete by the computed range")
-    free = 0
-    torsion = []
-    for run in _strings(chart, stem):
-        if _at_boundary(chart, run[-1]):
-            if flagged:
-                free += 1
-                continue
-            raise RefusalError(
-                f"h0 string in stem {stem} reaches the computed boundary; "
-                "not flagged torsion-free-at-top")
-        torsion.append(1 << len(run))
-    return AbelianGroup(free, tuple(sorted(torsion, reverse=True)))
+    strings, tangled = _h0_strings(chart)
+    if stem in tangled:
+        raise RefusalError(f"h0 structure in stem {stem} branches; refusing to read")
+    runs = strings.get(stem, ())
+    bounded = [len(run) for run in runs if not _at_boundary(chart, run[-1])]
+    free = len(runs) - len(bounded)  # the strings that reach the boundary
+    if free and not flagged:
+        raise RefusalError(
+            f"h0 string in stem {stem} reaches the computed boundary; "
+            "not flagged torsion-free-at-top")
+    return AbelianGroup(free, tuple(sorted((1 << m for m in bounded), reverse=True)))

@@ -649,8 +649,8 @@ def _pre_digest_entry(entry):
     return entry["chart"]
 
 
-def _digest_over_a_chart_without_dims(entry):
-    chart = {k: v for k, v in entry["chart"].items() if k != "dims"}
+def _digest_over_a_chart_without_labels(entry):
+    chart = {k: v for k, v in entry["chart"].items() if k != "labels"}
     return {"sha256": sha256_of(chart), "chart": chart}
 
 
@@ -667,7 +667,7 @@ def _in_chart(spoil):
                      _product_wrong_target, _product_k3, _product_repeated, _products_unsorted,
                      _last_h0_edge_dropped, _last_stage_floor_raised,
                      _stem_3_flagged_torsion_free]),
-    _pre_digest_entry, _digest_over_a_chart_without_dims])
+    _pre_digest_entry, _digest_over_a_chart_without_labels])
 def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, rewrite):
     # An entry whose chart does not match its stored digest, or that has no
     # digest or no decodable chart, is a miss: the chart is recomputed and
@@ -684,6 +684,23 @@ def test_chart_cache_serves_only_an_exact_entry(tmp_path, capsys, monkeypatch, r
     assert run(capsys, *argv) == (0, fresh, "")
     assert entry.read_text(encoding="utf-8") == whole
     assert list(tmp_path.iterdir()) == [entry]
+
+
+@pytest.mark.parametrize("forge", [_dim_disagrees_with_labels, _last_stage_floor_raised])
+def test_a_forged_chart_cache_entry_shows_what_its_labels_imply(tmp_path, capsys,
+                                                                monkeypatch, forge):
+    # A forger who writes the digest again is served, but dimensions and
+    # stage floors are read off the labels, so editing them changes nothing.
+    monkeypatch.setenv("HCM_CACHE_DIR", str(tmp_path))
+    argv = ("ext", "--module", "builtin:sphere", "--max-s", "2", "--max-t", "4")
+    grid, payload = run(capsys, *argv), run_json(capsys, *argv)
+    assert grid[0] == 0 and payload[0] == 0
+    entry, = tmp_path.glob("*.json")
+    chart = forge(json.loads(entry.read_text(encoding="utf-8"))["chart"])
+    entry.write_text(json.dumps({"sha256": sha256_of(chart), "chart": chart}),
+                     encoding="utf-8")
+    assert run(capsys, *argv) == grid
+    assert run_json(capsys, *argv) == payload
 
 
 def test_a_deeply_nested_chart_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):

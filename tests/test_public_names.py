@@ -1,4 +1,4 @@
-"""Each public name of the bottom layers has a caller in the package or the benchmarks.
+"""Each public name of the package's modules has a caller in the package or the benchmarks.
 
 A function, class, method or property that only the tests call is a
 second way to do a job the package does otherwise; this keeps such names
@@ -47,11 +47,17 @@ def _public(body) -> list:
     return out
 
 
-@pytest.mark.parametrize("module", ["f2linalg", "steenrod", "stmodule"])
+# bounds is left out: its quoted-filtration check, exceptional_filtrations,
+# is a library self-check that no command runs.
+MODULES = sorted(p.stem for p in (ROOT / "src" / "hcm").glob("*.py")
+                 if p.stem not in ("__init__", "bounds"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_caller(module):
     tree = ast.parse((ROOT / "src" / "hcm" / f"{module}.py").read_text(encoding="utf-8"))
     public = _public(tree.body)
-    assert public
+    assert public or module == "stems_data"  # stems_data holds only data
     seen: Counter = Counter()
     for path in CALLERS:
         seen.update(_mentions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))

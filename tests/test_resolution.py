@@ -421,7 +421,7 @@ def test_check_no_differentials():
     o = sm.builtin("o:1", 17)
     tch = rs.ext_chart(rs.minimal_resolution(sm.tensor(o, o, (32, 35)), 6, 39))
     assert rs.check_no_differentials(tch, (32, 33)) == []
-    syn = rs.ExtChart(5, 12, {(0, 9): 1, (2, 10): 1}, {}, {})
+    syn = rs.ExtChart(5, 12, {(0, 9): ("x",), (2, 10): ("y",)}, {})
     arrows = rs.check_no_differentials(syn, (0, 12))
     assert len(arrows) == 1 and arrows[0]["r"] == 2
     assert arrows[0]["from"] == (9, 0) and arrows[0]["to"] == (8, 2)
@@ -440,8 +440,7 @@ def test_refusals():
     with pytest.raises(RefusalError, match="possible Adams differentials touch stem 30"):
         rs.homotopy_from_chart(ch, 30)
     # a synthetic chart with a live differential
-    syn = rs.ExtChart(5, 12, {(0, 9): 1, (2, 10): 1}, {}, {},
-                      cell_degrees=(5,), stage_min_degree=(5, 12, 12, 12, 12, 12))
+    syn = rs.ExtChart(5, 12, {(0, 9): ("x",), (2, 10): ("y",)}, {}, cell_degrees=(5,))
     with pytest.raises(RefusalError, match="possible Adams differentials touch stem 8"):
         rs.homotopy_from_chart(syn, 8)
 
@@ -449,16 +448,34 @@ def test_refusals():
 def test_h0_string_refusals():
     # One h0 string up stem 3 to the top row: a tower unless flagged.
     up = {0: (((1, 4, 0), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
-    tower = rs.ExtChart(3, 10, {(1, 4): 1, (2, 5): 1, (3, 6): 1}, {}, up, cell_degrees=(0,))
+    tower = rs.ExtChart(3, 10, {(1, 4): ("x",), (2, 5): ("h0·x",), (3, 6): ("h0^2·x",)}, up,
+                        cell_degrees=(0,))
     with pytest.raises(RefusalError, match="h0 string in stem 3 reaches the computed boundary"):
         rs.homotopy_from_chart(tower, 3)
     flagged = tower._replace(torsion_free_top_stems=frozenset({3}))
     assert rs.homotopy_from_chart(flagged, 3) == AbelianGroup.Z
     # Two classes at (1, 4) with an h0 edge to the same class merge.
     merge = {0: (((1, 4, 0), (2, 5, 0)), ((1, 4, 1), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
-    branched = tower._replace(dims={(1, 4): 2, (2, 5): 1, (3, 6): 1}, products=merge)
+    branched = tower._replace(labels={**tower.labels, (1, 4): ("x", "y")}, products=merge)
     with pytest.raises(RefusalError, match="h0 structure in stem 3 branches"):
         rs.homotopy_from_chart(branched, 3)
+
+
+def test_tower_exemption_reads_every_h0_edge():
+    # x at (1, 5) has h0 edges to a and b at (2, 6); a's string reaches the
+    # top row at (3, 7).  h0·x has a summand on that string, so x's string
+    # is not finite, and the d2 from x to the flagged tower class c at
+    # (3, 6) stays possible whichever order the two edges out of x come in.
+    labels = {(1, 5): ("x",), (2, 6): ("a", "b"), (3, 7): ("a2",), (3, 6): ("c",)}
+    out_of_x = [((1, 5, 0), (2, 6, 0)), ((1, 5, 0), (2, 6, 1))]
+    for edges in (out_of_x, out_of_x[::-1]):
+        ch = rs.ExtChart(max_s=3, max_t=20, labels=labels,
+                         products={0: (*edges, ((2, 6, 0), (3, 7, 0)))},
+                         torsion_free_top_stems=frozenset({3}))
+        arrows = rs.check_no_differentials(ch, (3, 4))
+        assert [(a["r"], a["source"], a["target"]) for a in arrows] == [(2, (1, 5), (3, 6))]
+        with pytest.raises(RefusalError, match="possible Adams differentials touch stem 3"):
+            rs.homotopy_from_chart(ch, 3)
 
 
 def test_uncertified_column_refused():
