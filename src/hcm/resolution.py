@@ -27,16 +27,21 @@ checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
 ``verify`` XORs d.d together from cached bitmask products of whole sums
 (``steenrod.mask_product``, straightened by the Adem relations) and
-reads none of the tables below (``sq_masks``, ``first_letters``,
-``img``), so a wrong mask table cannot vouch for itself.
+reads none of the resolver's tables (``sq_masks``, ``right_masks``,
+``first_letters``), so a wrong mask table cannot vouch for itself.
 Every stage is the same kind of object, a free module whose generators
-map into a target; it acts on that target through one function, the
-module's action at stage 0 and the previous stage's Sq action after
-that (as in Bruner's scheme), on a run of vectors at once: the rests
-after one first letter are a prefix of a basis, so their images are
-one slice; a free module's action XORs one cached ``steenrod.sq_masks``
-row per set bit.  Stage s + 1 reads stage s's relations but not its
-images, so those are dropped as soon as stage s is laid out.
+map into a target.  Stage 0 maps into the module, and reaches the image
+of Sq^i rest on a generator by the module's Sq^i on the image of rest:
+the rests after one first letter are a prefix of a basis, so their
+images are one slice.  A later stage maps into the previous one, and
+the image of mon g is mon d(g) = sum_j (mon a_j) h_j (as in Bruner's
+scheme): g keeps d(g) as blocks, one sum a_j per target generator j,
+and each mon a_j is a row of the cached table ``steenrod.right_masks``
+placed at j's block by a shift.  That table is a per-process cache of
+the algebra, like ``sq_masks``, shared by every stage and every call,
+so a free stage keeps no images: a degree's images serve only that
+degree's elimination.  Stage s + 1 reads stage s's relations and layout,
+and stage 0's images are dropped once stage 0 is laid out.
 
 Charts record, besides class labels and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from operator import xor
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import f2linalg, steenrod
@@ -103,22 +109,30 @@ class FreeResolution(NamedTuple):
 class _Stage:
     """One free module F_s under construction, with its map into a target.
 
-    ``act(i, d, vecs)`` applies Sq^i to each of a run of degree-d vectors
-    of the target: the module's action at stage 0, the previous stage's
-    ``sq`` after.  Degree t holds one block per generator g laid out
-    there, in generator order: the elements of ``steenrod.basis(t - g.t)``
-    on g, starting at ``offset[t][g]``.  The list ends with the degree's
+    The target is the module at stage 0 and the previous stage after
+    that.  Degree t holds one block per generator g laid out there, in
+    generator order: the elements of ``steenrod.basis(t - g.t)`` on g,
+    starting at ``offset[t][g]``.  The list ends with the degree's
     dimension, so a bit's generator is found by bisecting the block
-    starts.  ``img[t]`` holds the image of every degree-t basis element,
-    and ``rels[t]`` the relations among those of its decomposables; the
-    images are emptied once the stage is laid out, the relations once
-    the next stage is done.
+    starts.  ``extend(t)`` returns the image of every degree-t basis
+    element, and ``rels[t]`` holds the relations among those of its
+    decomposables, until the next stage is done.
+
+    Stage 0 keeps its images, in ``img[t]``, until the stage is laid
+    out: the image of Sq^i rest on g is the module's Sq^i on the image of
+    rest.  A later stage keeps none: each generator keeps its
+    differential's blocks, (j, degree, mask) per target generator j, and
+    the image of mon on g is the sum over them of mon times the mask,
+    read off the cached table ``steenrod.right_masks`` and placed at j's
+    block of the target.
     """
 
-    def __init__(self, act):
-        self.act = act
+    def __init__(self, target):
+        self.prev = target if isinstance(target, _Stage) else None
+        self.module = target if self.prev is None else None
         self.gens: list[Generator] = []
-        self.dvec: list[int] = []  # differential/augmentation vectors
+        self.aug: list[int] = []  # stage 0: each generator's module vector
+        self.blocks: list[list[tuple[int, int, int]]] = []  # later: each one's differential
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
         self.rels: dict[int, list[int]] = {}
@@ -126,54 +140,66 @@ class _Stage:
     def dim(self, t: int) -> int:
         return self.offset.get(t, (0,))[-1]
 
-    def sq(self, i: int, d: int, vecs: Sequence[int]) -> list[int]:
-        """Left-multiply each of a run of degree-d vectors of this free module by Sq^i."""
-        top = self.offset.get(d + i)
-        if top is None:
-            raise InternalError("free module basis out of range")
-        off, gens, masks, out = self.offset[d], self.gens, steenrod.sq_masks, []
-        for vec in vecs:
-            acc = hi = 0
-            while vec:
-                b = (vec & -vec).bit_length() - 1
-                if b >= hi:  # the first bit in a new generator's block
-                    g = bisect_right(off, b) - 1
-                    lo, hi, rows, shift = off[g], off[g + 1], masks(i, d - gens[g].t), top[g]
-                acc ^= rows[b - lo] << shift
-                vec &= vec - 1
-            out.append(acc)
-        return out
+    def extend(self, t: int) -> list[int]:
+        """Lay out degree t for the generators present so far and return its images.
 
-    def extend(self, t: int):
-        """Lay out degree t for the generators present so far; once per degree."""
+        Once per degree, in order, and at a later stage only where the
+        previous stage has laid degree t out.
+        """
         offset, img = [0], []
-        self.offset[t], self.img[t] = offset, img
-        for gi, g in enumerate(self.gens):
-            # The images of Sq^i rest, for the rests in a prefix of
-            # basis(t - g.t - i), are Sq^i on one slice of img[t - i].
-            for i, n in steenrod.first_letter_runs(t - g.t):
-                lo = self.offset[t - i][gi]
-                img += self.act(i, t - i, self.img[t - i][lo:lo + n])
+        self.offset[t] = offset
+        if self.prev is None:
+            self.img[t], act = img, self.module.act
+            for gi, g in enumerate(self.gens):
+                # The images of Sq^i rest, for the rests in a prefix of
+                # basis(t - g.t - i), are Sq^i on one slice of img[t - i].
+                for i, n in steenrod.first_letter_runs(t - g.t):
+                    lo = self.offset[t - i][gi]
+                    img += [act(i, t - i, v) for v in self.img[t - i][lo:lo + n]]
+                offset.append(len(img))
+            return img
+        top = self.prev.offset.get(t)
+        if top is None:
+            raise InternalError(f"degree {t} of the previous stage out of range")
+        right = steenrod.right_masks
+        for g, blocks in zip(self.gens, self.blocks):
+            rows = None
+            for j, d, mask in blocks:
+                shift = top[j]
+                part = [row << shift for row in right(mask, d, t - g.t)]
+                rows = part if rows is None else list(map(xor, rows, part))
+            img += rows
             offset.append(len(img))
+        return img
 
     def kernel(self, t: int) -> Iterator[int]:
         """The reduced echelon basis, in pivot order, of this stage's kernel at degree t."""
         return f2linalg.reduced_basis(self.rels[t])
 
     def add_generator(self, s: int, t: int, dvec: int, label: str):
-        """Add a generator in degree t; only its unit element joins degree t."""
+        """Add a generator in degree t mapping to dvec; only its unit element joins degree t."""
         self.gens.append(Generator(s, t, len(self.gens), label))
-        self.dvec.append(dvec)
         self.offset[t].append(self.offset[t][-1] + 1)
-        self.img[t].append(dvec)
+        if self.prev is None:
+            self.aug.append(dvec)
+            self.img[t].append(dvec)
+        else:
+            self.blocks.append(self.prev.split(t, dvec))
+
+    def split(self, t: int, vec: int) -> list[tuple[int, int, int]]:
+        """A degree-t vector as (generator, relative degree, mask over that basis) per block."""
+        off, out = self.offset[t], []
+        while vec:
+            g = bisect_right(off, _low_bit(vec)) - 1
+            lo, hi = off[g], off[g + 1]
+            out.append((g, t - self.gens[g].t, (vec >> lo) & ((1 << (hi - lo)) - 1)))
+            vec = vec >> hi << hi
+        return out
 
     def entries(self, t: int, vec: int) -> dict[int, list[tuple]]:
         """A degree-t vector as generator -> its Steenrod monomials, in basis order."""
-        off, out = self.offset[t], {}
-        for b in _bits(vec):
-            g = bisect_right(off, b) - 1
-            out.setdefault(g, []).append(steenrod.basis(t - self.gens[g].t)[b - off[g]])
-        return out
+        return {g: [steenrod.basis(d)[b] for b in _bits(mask)]
+                for g, d, mask in self.split(t, vec)}
 
 
 _H_LABEL = re.compile(r"^h(\d+)(?:\^(\d+))?·(.+)$")
@@ -198,18 +224,18 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     """
     if max_s < 0 or max_t < m.lo:
         raise RangeError("empty resolution range")
-    stages = [_Stage(lambda i, d, vecs: [m.act(i, d, v) for v in vecs])]
+    stages = [_Stage(m)]
     for _ in range(max_s):
-        stages.append(_Stage(stages[-1].sq))
+        stages.append(_Stage(stages[-1]))
 
     # -- stage 0: generators = basis of M / A+M, lifted to first free coordinates.
     # A degree is laid out before any of its generators exist, so img[t]
     # first holds only decomposables, at every stage.
     st0 = stages[0]
     for t in range(m.lo, max_t + 1):
-        st0.extend(t)
+        img = st0.extend(t)
         dim = m.dim(t)
-        piv, st0.rels[t] = f2linalg.tagged_echelon(st0.img[t], dim)
+        piv, st0.rels[t] = f2linalg.tagged_echelon(img, dim)
         if len(piv) < dim:
             # Each free column f becomes a generator, named by its coset:
             # e_f plus every pivot e_p whose canonical representative
@@ -220,19 +246,18 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     phi = sum(1 << p for p, red in reds.items() if red >> f & 1)
                     st0.add_generator(0, t, 1 << f, m.element_name(t, phi | 1 << f))
             # The augmentation must be onto; count afresh, not from the choice above.
-            piv = f2linalg.echelon(st0.img[t])
+            piv = f2linalg.echelon(img)
         _check_exact(0, t, len(piv), dim)
+    st0.img = {}  # stage 1 reads stage 0's relations, not its images
 
     # -- higher stages: cover kernels degree by degree.
     diffs: list[dict] = [dict() for _ in range(max_s + 1)]
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
-        prev.img = {}  # stage s reads prev's relations, not its images
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
-            cur.extend(t)
             want = len(prev.rels[t])  # a basis of ker d at t
-            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.img[t], prev.dim(t))
+            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.extend(t), prev.dim(t))
             if len(piv) < want:
                 ordinal = 0
                 for kv in prev.kernel(t):
@@ -255,7 +280,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
         m, max_s, max_t,
         stages=tuple(tuple(st.gens) for st in stages),
         diff=tuple(diffs),
-        aug=tuple(stages[0].dvec))
+        aug=tuple(stages[0].aug))
     problems = verify(res)
     if problems:
         raise InternalError("resolution failed verification: " + "; ".join(problems))
@@ -296,7 +321,7 @@ def _label_for(s: int, t: int, entries: tuple, prev: _Stage, m: GradedModule,
         mon, = sq.terms
         k = _hk(mon[:1])
         if k is not None:
-            elem = m.act_word(mon[1:], prev.gens[g].t, prev.dvec[g])
+            elem = m.act_word(mon[1:], prev.gens[g].t, prev.aug[g])
             if elem:
                 return _h_label(k, m.element_name(prev.gens[g].t + sum(mon[1:]), elem))
     return f"[{s},{t}]" if ordinal == 0 else f"[{s},{t}:{ordinal}]"
@@ -308,8 +333,8 @@ def verify(res: FreeResolution) -> list[str]:
     Each pair of composed entries is multiplied as sums by
     ``steenrod.mask_product``, which straightens by the Adem relations,
     and the masks are XORed per target generator; the resolver's
-    ``sq_masks`` and ``first_letters`` tables and the stages' images
-    are never read.
+    ``sq_masks``, ``right_masks`` and ``first_letters`` tables are never
+    read.
     """
     problems = []
     for s in range(1, res.max_s + 1):

@@ -17,13 +17,19 @@ applies a word one letter at a time through ``_left_mul(i, d)``, the
 rows of Sq^i on ``basis(d)``, which the Adem relation on the first
 letter builds from lower degrees; ``mask_product`` caches the mask of
 a product per pair of sums, and ``SqSum`` is built only where a sum is
-handed out.  The resolver's table ``sq_masks`` is built by a separate
-bitmask recursion over ``first_letters``, so the two tables check each
-other.
+handed out.  The resolver reads two other tables, built by a separate
+bitmask recursion over ``first_letters``: ``sq_masks``, the rows of Sq^i
+on ``basis(d)``, and ``right_masks``, the products of each
+``basis(e)`` element with one fixed sum, each row Sq^i (from
+``sq_masks``) on a row of lower degree.  Both are per-process caches of
+the algebra.  The resolver builds resolutions from them alone, and its
+``verify`` checks d.d = 0 from ``mask_product`` alone, so the two sides
+check each other.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -243,3 +249,38 @@ def first_letters(deg: int) -> tuple[tuple[int, int], ...]:
 def first_letter_runs(deg: int) -> tuple[tuple[int, int], ...]:
     """``first_letters(deg)`` in runs (i, n): Sq^i on the prefix ``basis(deg - i)[:n]``."""
     return tuple({i: j + 1 for i, j in first_letters(deg)}.items())
+
+
+# (a, d) -> (rows, starts): the rows of right_masks(a, d, e) for every e laid
+# out so far, flat, degree e's being rows[starts[e]:starts[e + 1]].  Tables
+# only grow, under the lock, so a reader sees each degree whole.
+_right_tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+_right_lock = threading.Lock()
+
+
+def right_masks(a: int, d: int, e: int) -> list[int]:
+    """``basis(e)[k]`` times a, for each k, with a sum a over ``basis(d)`` given as a mask.
+
+    Each row is a mask over ``basis(e + d)``.  With ``basis(e)[k]`` split
+    as Sq^i rest, row k is Sq^i, by ``sq_masks``, on the row of rest at
+    degree e - i; the rests after one first letter are a prefix of
+    ``basis(e - i)`` (``first_letter_runs``), so each run reads one slice.
+    Degrees are laid out in order, on first use, and kept for the process.
+    """
+    table = _right_tables.get((a, d))
+    if table is None or len(table[1]) <= e + 1:
+        with _right_lock:
+            rows, starts = table = _right_tables.setdefault((a, d), ([a], [0, 1]))
+            for f in range(len(starts) - 1, e + 1):
+                for i, n in first_letter_runs(f):
+                    masks, lo = sq_masks(i, f - i + d), starts[f - i]
+                    for row in rows[lo:lo + n]:
+                        acc = 0
+                        while row:
+                            low = row & -row
+                            acc ^= masks[low.bit_length() - 1]
+                            row ^= low
+                        rows.append(acc)
+                starts.append(len(rows))
+    rows, starts = table
+    return rows[starts[e]:starts[e + 1]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import types
 from math import comb
 
 import pytest
@@ -266,7 +267,7 @@ def test_verify_reads_no_mask_table(monkeypatch):
     def forbidden(*args):
         raise AssertionError("verify read a resolver table")
 
-    for table in ("sq_masks", "first_letters", "first_letter_runs", "_adem_cs"):
+    for table in ("sq_masks", "first_letters", "first_letter_runs", "_adem_cs", "right_masks"):
         monkeypatch.setattr(steenrod, table, forbidden)
     for cached in (steenrod.mask_product, steenrod._left_mul, steenrod._adem_pair,
                    steenrod._index):
@@ -628,45 +629,72 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch, exactness, message
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=4),
-       st.integers(1, 9), st.integers(0, 12), st.randoms(use_true_random=False))
+       st.lists(st.integers(1, 6), min_size=1, max_size=3), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_stage_sq_matches_monomial_products(degrees, i, d, rng):
+def test_free_stage_blocks_match_monomial_products(degrees, rises, rng):
     # Oracle: each basis element is a (generator, monomial) pair at a
     # position that the layout convention fixes (generators in order, each
-    # with steenrod.basis of its relative degree), and Sq^i acts through
-    # monomial_product, with no mask table involved.  ``sq`` takes a run of
-    # vectors, and ``entries`` must group the same pairs by generator, in
-    # basis order.
-    degrees, top = sorted(degrees), 21
-    stage = rs._Stage(lambda i, d, vecs: [0] * len(vecs))
+    # with steenrod.basis of its relative degree), and mon on a generator g
+    # maps to the sum of monomial_product(mon, a) over the pairs (j, a) of
+    # d(g), placed in generator j's block, with no mask table involved.
+    # ``entries`` must group d(g)'s pairs by target generator, in basis order.
+    degrees, top = sorted(degrees), 16
+    prev = rs._Stage(types.SimpleNamespace(act=lambda i, d, v: 0))
     for t in range(top + 1):
-        stage.extend(t)
+        prev.extend(t)
         for gt in degrees:
             if gt == t:
-                stage.add_generator(0, t, 0, "g")
+                prev.add_generator(0, t, 0, "g")
     pos = {}
     for t in range(top + 1):
-        keys = [(gi, mon) for gi, gt in enumerate(degrees) if gt <= t
+        keys = [(j, mon) for j, gt in enumerate(degrees) if gt <= t
                 for mon in steenrod.basis(t - gt)]
         pos[t] = {key: p for p, key in enumerate(keys)}
-        assert stage.dim(t) == len(keys)
-    at = {p: key for key, p in pos[d].items()}
+        assert prev.dim(t) == len(keys)
+    at = {t: {p: key for key, p in pos[t].items()} for t in pos}
 
-    def oracle(vec):
-        want, groups = 0, {}
-        for b in range(stage.dim(d)):
-            if (vec >> b) & 1:
-                gi, mon = at[b]
-                groups.setdefault(gi, []).append(mon)
-                for m2 in steenrod.monomial_product((i,), mon).terms:
-                    want ^= 1 << pos[d + i][(gi, m2)]
-        return want, groups
-
-    run = [rng.getrandbits(stage.dim(d)) for _ in range(3)] + [0]
-    wants = [oracle(vec)[0] for vec in run]
-    assert stage.sq(i, d, run) == wants
-    assert stage.sq(i, d, run[:1]) == wants[:1]
-    assert stage.sq(i, d, []) == []
-    assert stage.entries(d, run[0]) == oracle(run[0])[1]
+    gens = sorted(degrees[0] + r for r in rises)
+    dvecs = [rng.getrandbits(prev.dim(gt)) | 1 << rng.randrange(prev.dim(gt)) for gt in gens]
+    cur = rs._Stage(prev)
+    for t in range(top + 1):
+        want = []
+        for gt, dvec in zip(gens, dvecs):
+            for mon in steenrod.basis(t - gt) if gt < t else ():
+                row = 0
+                for b in range(prev.dim(gt)):
+                    if dvec >> b & 1:
+                        j, a = at[gt][b]
+                        for m2 in steenrod.monomial_product(mon, a).terms:
+                            row ^= 1 << pos[t][(j, m2)]
+                want.append(row)
+        assert cur.extend(t) == want
+        for gt, dvec in zip(gens, dvecs):
+            if gt == t:
+                groups = {}
+                for b in range(prev.dim(t)):
+                    if dvec >> b & 1:
+                        j, a = at[t][b]
+                        groups.setdefault(j, []).append(a)
+                assert prev.entries(t, dvec) == groups
+                cur.add_generator(1, t, dvec, "h")
     with pytest.raises(InternalError, match="out of range"):
-        stage.sq(1, top, [1])
+        cur.extend(top + 1)
+
+
+def test_shared_right_tables_serve_no_stale_result():
+    # steenrod.right_masks keeps its tables for the process, shared by
+    # every resolution.  Results built on tables that other modules' runs
+    # left warm must equal the same runs made after the tables are cleared.
+    # The ranges are the CLI's: sphere s<=15, t<=36, the others s<=6 to hi + 6.
+    cases = [(lambda: sm.sphere_module(36), 15, 36), (lambda: ep.tensor_square(17), 6, 41),
+             (lambda: ep.d2_sphere(15), 6, 39)]
+
+    def run(make, max_s, max_t):
+        res = rs.minimal_resolution(make(), max_s, max_t)
+        return res, rs.ext_chart(res).to_json()
+
+    warm = [run(*case) for case in cases]
+    assert steenrod._right_tables
+    for case, result in zip(cases, warm):
+        steenrod._right_tables.clear()
+        assert run(*case) == result

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import comb
 
@@ -201,6 +203,47 @@ def test_sq_masks_match_left_multiplication():
             masks = sq.sq_masks(i, d)
             assert len(masks) == len(sq.basis(d))
             assert masks == sq._left_mul(i, d), (i, d)
+
+
+@given(st.integers(0, 9), st.integers(0, 12), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_right_masks_match_monomial_products(d, e, rng):
+    # Oracle: row k is the sum, over the terms of a, of
+    # monomial_product(basis(e)[k], term), with no mask table involved.
+    mons = sq.basis(d)
+    a = rng.getrandbits(len(mons))
+    pos = {mon: p for p, mon in enumerate(sq.basis(e + d))}
+    want = []
+    for mon in sq.basis(e):
+        row = 0
+        for b in range(len(mons)):
+            if a >> b & 1:
+                for m2 in sq.monomial_product(mon, mons[b]).terms:
+                    row ^= 1 << pos[m2]
+        want.append(row)
+    assert sq.right_masks(a, d, e) == want
+
+
+def test_right_masks_under_concurrent_first_use():
+    # Threads that lay out the same tables at once, with the interpreter
+    # switching threads as often as it can, must each read every degree
+    # whole: a degree laid out twice, or read half-built, shifts the rows.
+    sums = [(a, d) for d in range(1, 9) for a in range(1, 1 << len(sq.basis(d)))]
+    want = [sq.right_masks(a, d, e) for e in range(16) for a, d in sums]
+
+    def lay_out():
+        return [sq.right_masks(a, d, e) for e in range(16) for a, d in sums]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                sq._right_tables.clear()
+                futures = [pool.submit(lay_out) for _ in range(8)]
+                assert all(f.result(timeout=120) == want for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_first_letters_split_each_monomial():
