@@ -241,7 +241,8 @@ def test_right_masks_under_concurrent_first_use():
             for _ in range(10):
                 sq._right_tables.clear()
                 futures = [pool.submit(lay_out) for _ in range(8)]
-                assert all(f.result(timeout=120) == want for f in futures)
+                results = [f.result(timeout=120) for f in futures]
+                assert all(got == want for got in results)
     finally:
         sys.setswitchinterval(interval)
 
