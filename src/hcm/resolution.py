@@ -25,7 +25,8 @@ every bidegree: stage 0 must cover the module (its own rank count),
 and each later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
-``verify`` XORs d.d together from cached bitmask products of whole sums
+``verify`` checks each stage as soon as it is laid out: it XORs d.d
+together from cached bitmask products of whole sums
 (``steenrod.mask_product``, straightened by the Adem relations) and
 reads none of the resolver's tables (``sq_masks``, ``right_masks``,
 ``first_letters``), so a wrong mask table cannot vouch for itself.
@@ -70,7 +71,6 @@ from . import f2linalg, steenrod
 from .errors import InternalError, RangeError, RefusalError
 from .f2linalg import _bits, _low_bit
 from .groups import AbelianGroup
-from .steenrod import SqSum
 from .stmodule import GradedModule
 
 # Version of the charts this engine emits; the CLI's disk cache keys on it.
@@ -80,25 +80,25 @@ CHART_VERSION = 1
 
 
 class Generator(NamedTuple):
-    s: int
     t: int
-    index: int  # position within its stage
     label: str
 
 
 class FreeResolution(NamedTuple):
-    """Stages of generators plus differentials with SqSum entries.
+    """Stages of generators plus their differentials, as blocks.
 
-    ``diff[s][i]`` maps stage-s generator i to a tuple of
-    ``(target_index, SqSum)`` pairs over stage s-1 generators; stage-0
-    generators instead carry augmentation vectors into the module.
+    ``stages[s][i]`` is stage-s generator i and ``diff[s][i]`` its
+    differential: one block ``(j, d, mask)`` per stage s-1 generator j
+    it reaches, in generator order, for the sum over ``steenrod.basis(d)``
+    at mask's set bits.  Stage-0 generators carry augmentation vectors
+    into the module instead, and ``diff[0]`` is empty.
     """
 
     module: GradedModule
     max_s: int
     max_t: int
     stages: tuple[tuple[Generator, ...], ...]
-    diff: tuple[dict, ...]
+    diff: tuple[tuple[list[tuple[int, int, int]], ...], ...]
     aug: tuple[int, ...]  # stage-0 generator -> bit-packed module vector
 
     @property
@@ -121,7 +121,8 @@ class _Stage:
     Stage 0 keeps its images, in ``img[t]``, until the stage is laid
     out: the image of Sq^i rest on g is the module's Sq^i on the image of
     rest.  A later stage keeps none: each generator keeps its
-    differential's blocks, (j, degree, mask) per target generator j, and
+    differential's blocks, (j, degree, mask) per target generator j,
+    which the resolution hands out as its ``diff``, and
     the image of mon on g is the sum over them of mon times the mask,
     read off the cached table ``steenrod.right_masks`` and placed at j's
     block of the target.
@@ -176,15 +177,15 @@ class _Stage:
         """The reduced echelon basis, in pivot order, of this stage's kernel at degree t."""
         return f2linalg.reduced_basis(self.rels[t])
 
-    def add_generator(self, s: int, t: int, dvec: int, label: str):
-        """Add a generator in degree t mapping to dvec; only its unit element joins degree t."""
-        self.gens.append(Generator(s, t, len(self.gens), label))
-        self.offset[t].append(self.offset[t][-1] + 1)
+    def add_generator(self, t: int, image, label: str):
+        """Add a generator in degree t mapping to image (a module vector, later blocks)."""
+        self.gens.append(Generator(t, label))
+        self.offset[t].append(self.offset[t][-1] + 1)  # only its unit element joins degree t
         if self.prev is None:
-            self.aug.append(dvec)
-            self.img[t].append(dvec)
+            self.aug.append(image)
+            self.img[t].append(image)
         else:
-            self.blocks.append(self.prev.split(t, dvec))
+            self.blocks.append(image)
 
     def split(self, t: int, vec: int) -> list[tuple[int, int, int]]:
         """A degree-t vector as (generator, relative degree, mask over that basis) per block."""
@@ -195,11 +196,6 @@ class _Stage:
             out.append((g, t - self.gens[g].t, (vec >> lo) & ((1 << (hi - lo)) - 1)))
             vec = vec >> hi << hi
         return out
-
-    def entries(self, t: int, vec: int) -> dict[int, list[tuple]]:
-        """A degree-t vector as generator -> its Steenrod monomials, in basis order."""
-        return {g: [steenrod.basis(d)[b] for b in _bits(mask)]
-                for g, d, mask in self.split(t, vec)}
 
 
 _H_LABEL = re.compile(r"^h(\d+)(?:\^(\d+))?·(.+)$")
@@ -244,14 +240,13 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             for f in range(dim):
                 if f not in piv:
                     phi = sum(1 << p for p, red in reds.items() if red >> f & 1)
-                    st0.add_generator(0, t, 1 << f, m.element_name(t, phi | 1 << f))
+                    st0.add_generator(t, 1 << f, m.element_name(t, phi | 1 << f))
             # The augmentation must be onto; count afresh, not from the choice above.
             piv = f2linalg.echelon(img)
         _check_exact(0, t, len(piv), dim)
     st0.img = {}  # stage 1 reads stage 0's relations, not its images
 
-    # -- higher stages: cover kernels degree by degree.
-    diffs: list[dict] = [dict() for _ in range(max_s + 1)]
+    # -- higher stages: cover kernels degree by degree, each checked once laid out.
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
@@ -264,27 +259,24 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
-                    entries = tuple(
-                        (g, SqSum(tuple(sorted(mons, reverse=True))))
-                        for g, mons in sorted(prev.entries(t, red).items()))
-                    diffs[s][len(cur.gens)] = entries
-                    cur.add_generator(s, t, red, _label_for(s, t, entries, prev, m, ordinal))
+                    blocks = prev.split(t, red)
+                    cur.add_generator(t, blocks, _label_for(s, t, blocks, prev, m, ordinal))
                     ordinal += 1
                     piv[_low_bit(red)] = red
                     if len(piv) == want:
                         break  # every later kernel vector reduces to 0
             _check_exact(s, t, len(piv), want)
         prev.rels = {}
+        problems = verify(_freeze(m, max_s, max_t, stages), s)
+        if problems:
+            raise InternalError("resolution failed verification: " + "; ".join(problems))
+    return _freeze(m, max_s, max_t, stages)
 
-    res = FreeResolution(
-        m, max_s, max_t,
-        stages=tuple(tuple(st.gens) for st in stages),
-        diff=tuple(diffs),
-        aug=tuple(stages[0].aug))
-    problems = verify(res)
-    if problems:
-        raise InternalError("resolution failed verification: " + "; ".join(problems))
-    return res
+
+def _freeze(m: GradedModule, max_s: int, max_t: int, stages: list[_Stage]) -> FreeResolution:
+    """The resolution the stages hold so far."""
+    return FreeResolution(m, max_s, max_t, tuple(tuple(st.gens) for st in stages),
+                          tuple(tuple(st.blocks) for st in stages), tuple(stages[0].aug))
 
 
 def _check_exact(s: int, t: int, got: int, want: int):
@@ -300,65 +292,62 @@ def _check_exact(s: int, t: int, got: int, want: int):
             f"resolution not exact at stage {s}, degree {t}: image dim {got}, expected {want}")
 
 
-def _hk(mon: tuple) -> Optional[int]:
-    """k when ``mon`` is the bare Sq^{2^k} (an h_k edge), else None."""
-    if len(mon) == 1 and mon[0] & (mon[0] - 1) == 0:
-        return mon[0].bit_length() - 1
+def _hk(d: int, mask: int) -> Optional[int]:
+    """k when the block holds the bare Sq^{2^k} (an h_k edge, last in its basis), else None."""
+    if d & (d - 1) == 0 and mask >> (len(steenrod.basis(d)) - 1):
+        return d.bit_length() - 1
     return None
 
 
-def _label_for(s: int, t: int, entries: tuple, prev: _Stage, m: GradedModule,
+def _label_for(s: int, t: int, blocks: list, prev: _Stage, m: GradedModule,
                ordinal: int) -> str:
-    # Rule 1: an h_k edge (one entry holds at most one); the earliest source wins.
-    for g, sq in entries:
-        for mon in sq.terms:
-            k = _hk(mon)
-            if k is not None:
-                return _h_label(k, prev.gens[g].label)
-    # Rule 2: one composite entry starting with a 2-power, traced into the module.
-    if s == 1 and len(entries) == 1 and len(entries[0][1].terms) == 1:
-        (g, sq), = entries
-        mon, = sq.terms
-        k = _hk(mon[:1])
+    # Rule 1: an h_k edge (one block holds at most one); the earliest source wins.
+    for g, d, mask in blocks:
+        k = _hk(d, mask)
         if k is not None:
+            return _h_label(k, prev.gens[g].label)
+    # Rule 2: one block of one monomial starting with a 2-power, traced into the module.
+    if s == 1 and len(blocks) == 1:
+        (g, d, mask), = blocks
+        mon = steenrod.basis(d)[mask.bit_length() - 1]
+        if mask & (mask - 1) == 0 and mon and mon[0] & (mon[0] - 1) == 0:
             elem = m.act_word(mon[1:], prev.gens[g].t, prev.aug[g])
             if elem:
-                return _h_label(k, m.element_name(prev.gens[g].t + sum(mon[1:]), elem))
+                k = mon[0].bit_length() - 1
+                return _h_label(k, m.element_name(prev.gens[g].t + d - mon[0], elem))
     return f"[{s},{t}]" if ordinal == 0 else f"[{s},{t}:{ordinal}]"
 
 
-def verify(res: FreeResolution) -> list[str]:
-    """Minimality (no unit entries) and d.d = 0 by full Steenrod expansion.
+def verify(res: FreeResolution, s: int) -> list[str]:
+    """Minimality (no block at relative degree 0) and d.d = 0 at stage s >= 1.
 
-    Each pair of composed entries is multiplied as sums by
-    ``steenrod.mask_product``, which straightens by the Adem relations,
-    and the masks are XORed per target generator; the resolver's
-    ``sq_masks``, ``right_masks`` and ``first_letters`` tables are never
-    read.
+    Only ``diff[s]`` and ``diff[s - 1]`` (at s = 1, the augmentation) are
+    read, so each stage is checked as it is laid out.  Composed blocks
+    are multiplied by ``steenrod.mask_product``, which straightens by the
+    Adem relations, and XORed per target generator; at s = 1 the module
+    applies each basis element of a block by ``act_word``.  The resolver's
+    ``sq_masks``, ``right_masks`` and ``first_letters`` are never read.
     """
-    problems = []
-    for s in range(1, res.max_s + 1):
-        for i, entries in res.diff[s].items():
-            for j, sq in entries:
-                if any(mon == () for mon in sq.terms):
-                    problems.append(f"unit entry in differential at stage {s}, generator {i}")
-    # d(d(g)) as Steenrod product masks, XORed per target generator.
-    for s in range(2, res.max_s + 1):
-        for i, entries in res.diff[s].items():
-            acc: dict[int, int] = {}
-            for j, sq in entries:
-                for j2, sq2 in res.diff[s - 1].get(j, ()):
-                    acc[j2] = acc.get(j2, 0) ^ steenrod.mask_product(sq, sq2)
-            if any(acc.values()):
-                problems.append(f"d.d != 0 at stage {s}, generator {i}")
-    for i, entries in res.diff[1].items() if res.max_s >= 1 else ():
-        g = res.stages[1][i]
-        out = 0
-        for j, sq in entries:
-            tgt = res.stages[0][j]
-            out ^= res.module.act_sum(sq, tgt.t, res.aug[j])
-        if out:
-            problems.append(f"augmentation of d(stage-1 generator {i}) nonzero")
+    problems = [f"unit entry in differential at stage {s}, generator {i}"
+                for i, blocks in enumerate(res.diff[s]) if any(d == 0 for _, d, _ in blocks)]
+    if s == 1:
+        for i, blocks in enumerate(res.diff[1]):
+            out = 0
+            for j, d, mask in blocks:
+                mons, t = steenrod.basis(d), res.stages[0][j].t
+                for b in _bits(mask):
+                    out ^= res.module.act_word(mons[b], t, res.aug[j])
+            if out:
+                problems.append(f"augmentation of d(stage-1 generator {i}) nonzero")
+        return problems
+    below = res.diff[s - 1]
+    for i, blocks in enumerate(res.diff[s]):
+        acc: dict[int, int] = {}
+        for j, d, a in blocks:
+            for j2, e, b in below[j]:
+                acc[j2] = acc.get(j2, 0) ^ steenrod.mask_product(a, d, b, e)
+        if any(acc.values()):
+            problems.append(f"d.d != 0 at stage {s}, generator {i}")
     return problems
 
 
@@ -469,23 +458,22 @@ def ext_chart(res: FreeResolution,
     """Read the E2 chart off a minimal resolution.
 
     Each generator is a class, under its label; an h_k edge joins
-    generators whose differential entry contains the bare monomial Sq^{2^k}.
+    generators whose differential block contains the bare Sq^{2^k}.
     """
     labels: dict = {}
     at: dict = {}
     for s, stage in enumerate(res.stages):
-        for g in stage:
+        for i, g in enumerate(stage):
             spot = labels.setdefault((s, g.t), [])
-            at[(s, g.index)] = (s, g.t, len(spot))
+            at[(s, i)] = (s, g.t, len(spot))
             spot.append(g.label)
     products: dict[int, list] = {0: [], 1: [], 2: []}
     for s in range(1, res.max_s + 1):
-        for i, entries in res.diff[s].items():
-            for j, sq in entries:
-                for mon in sq.terms:
-                    k = _hk(mon)
-                    if k in products:
-                        products[k].append((at[(s - 1, j)], at[(s, i)]))
+        for i, blocks in enumerate(res.diff[s]):
+            for j, d, mask in blocks:
+                k = _hk(d, mask)
+                if k in products:
+                    products[k].append((at[(s - 1, j)], at[(s, i)]))
     m = res.module
     # A window module is the truncation quotient at the window top, so
     # Ext is the untruncated answer exactly in stems <= hi - 1.

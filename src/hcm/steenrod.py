@@ -16,13 +16,13 @@ Inside this module a sum is a bitmask over ``basis(d)``.  Straightening
 applies a word one letter at a time through ``_left_mul(i, d)``, the
 rows of Sq^i on ``basis(d)``, which the Adem relation on the first
 letter builds from lower degrees; ``mask_product`` caches the mask of
-a product per pair of sums, and ``SqSum`` is built only where a sum is
-handed out.  The resolver reads two other tables, built by a separate
-bitmask recursion over ``first_letters``: ``sq_masks``, the rows of Sq^i
-on ``basis(d)``, and ``right_masks``, the products of each
-``basis(e)`` element with one fixed sum, each row Sq^i (from
-``sq_masks``) on a row of lower degree.  Both are per-process caches of
-the algebra.  The resolver builds resolutions from them alone, and its
+a product per pair of masks and their degrees, and ``SqSum`` is built
+only where a sum is handed out.  The resolver reads two other tables,
+built by a separate bitmask recursion over ``first_letters``:
+``sq_masks``, the rows of Sq^i on ``basis(d)``, and ``right_masks``,
+the products of each ``basis(e)`` element with one fixed sum, each row
+Sq^i (from ``sq_masks``) on a row of lower degree.  Both are
+per-process caches of the algebra.  The resolver builds resolutions from them alone, and its
 ``verify`` checks d.d = 0 from ``mask_product`` alone, so the two sides
 check each other.
 """
@@ -149,27 +149,30 @@ def adem_reduce(word: Sequence[int]) -> SqSum:
 
 
 @lru_cache(maxsize=None)
-def mask_product(a: SqSum, b: SqSum) -> int:
-    """a * b as a bitmask over ``basis(deg a + deg b)``; 0 when either is zero.
+def mask_product(a: int, d: int, b: int, e: int) -> int:
+    """a * b as a mask over ``basis(d + e)``, for masks a over ``basis(d)``, b over ``basis(e)``.
 
     Each left monomial is applied to the whole right sum at once, and
-    the result is cached per pair of sums.
+    the result is cached per (a, d, b, e).
     """
-    if a.is_zero or b.is_zero:
-        return 0
-    d, pos = b.degree, _index(b.degree)
-    right = sum(1 << pos[t] for t in b.terms)
-    acc = 0
-    for ma in a.terms:
-        acc ^= _apply(ma, d, right)
+    acc, mons = 0, basis(d)
+    for p in _bits(a):
+        acc ^= _apply(mons[p], e, b)
     return acc
+
+
+def _to_mask(s: SqSum) -> int:
+    """The mask over ``basis(s.degree)`` of a nonzero sum."""
+    pos = _index(s.degree)
+    return sum(1 << pos[t] for t in s.terms)
 
 
 def product(a: SqSum, b: SqSum) -> SqSum:
     """Concatenate-and-reduce product, bilinear over GF(2)."""
     if a.is_zero or b.is_zero:
         return SqSum(())
-    return _from_mask(mask_product(a, b), a.degree + b.degree)
+    d, e = a.degree, b.degree
+    return _from_mask(mask_product(_to_mask(a), d, _to_mask(b), e), d + e)
 
 
 @lru_cache(maxsize=None)

@@ -235,7 +235,8 @@ def test_criterion_6_properties(capsys):
             rs.minimal_resolution(ep.d2_splitting_summands(12)[1], 5, 30),
             rs.minimal_resolution(ep.d2_integral(15), 5, 38),
         ]
-        ok = ok and all(rs.verify(res) == [] for res in produced)
+        ok = ok and all(rs.verify(res, s) == [] for res in produced
+                        for s in range(1, res.max_s + 1))
 
         # Nishida-produced modules pass the full Adem validation
         for n in (16, 24, 32, 17, 25, 33, 12, 20, 28):

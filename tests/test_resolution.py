@@ -25,7 +25,6 @@ from hcm import stmodule as sm
 from hcm import steenrod
 from hcm.errors import InternalError, RefusalError
 from hcm.groups import AbelianGroup
-from hcm.steenrod import SqSum
 
 # -- independent oracle -------------------------------------------------------
 
@@ -251,12 +250,10 @@ def test_verify_on_produced_resolutions():
             sm.tensor(sm.builtin("o:1", 17), sm.builtin("o:1", 17), (32, 35)), 5, 39),
     ):
         res = make()
-        assert rs.verify(res) == []
-        # minimality, directly: no unit entries anywhere
         for s in range(1, res.max_s + 1):
-            for i, entries in res.diff[s].items():
-                for _, sqsum in entries:
-                    assert all(mon != () for mon in sqsum.terms)
+            assert rs.verify(res, s) == []
+            # minimality, directly: no block at relative degree 0
+            assert all(d > 0 for blocks in res.diff[s] for _, d, _ in blocks)
 
 
 def test_verify_reads_no_mask_table(monkeypatch):
@@ -272,7 +269,7 @@ def test_verify_reads_no_mask_table(monkeypatch):
     for cached in (steenrod.mask_product, steenrod._left_mul, steenrod._adem_pair,
                    steenrod._index):
         cached.cache_clear()
-    assert rs.verify(res) == []
+    assert all(rs.verify(res, s) == [] for s in range(1, res.max_s + 1))
 
 
 def test_verify_catches_a_changed_differential_entry():
@@ -280,16 +277,66 @@ def test_verify_catches_a_changed_differential_entry():
     # and no unit term, but then d.d picks up Sq3Sq1 Sq4 = Sq7Sq1 != 0,
     # and the stage-3 generator h3·h1^2, which maps onto h2^2, breaks too.
     res = rs.minimal_resolution(sm.sphere_module(14), 5, 14)
-    g = res.stages[2][3]
-    assert g.label == "h2^2·x0"
-    entries = dict(res.diff[2][g.index])
-    assert entries[2] == SqSum(((4,), (3, 1)))
-    entries[2] = SqSum(((4,),))
-    diff2 = dict(res.diff[2])
-    diff2[g.index] = tuple(sorted(entries.items()))
-    bad = res._replace(diff=res.diff[:2] + (diff2,) + res.diff[3:])
-    assert rs.verify(bad) == [f"d.d != 0 at stage 2, generator {g.index}",
-                              "d.d != 0 at stage 3, generator 4"]
+    assert res.stages[2][3].label == "h2^2·x0"
+    # basis(4) is (Sq3Sq1, Sq4): mask 0b11 is Sq4 + Sq3Sq1, 0b10 is Sq4 alone.
+    assert res.diff[2][3] == [(1, 6, 0b100), (2, 4, 0b11)]
+    bad = _with_block(res, 2, 3, 1, (2, 4, 0b10))
+    assert rs.verify(bad, 2) == ["d.d != 0 at stage 2, generator 3"]
+    assert rs.verify(bad, 3) == ["d.d != 0 at stage 3, generator 4"]
+    assert [rs.verify(bad, s) for s in (1, 4, 5)] == [[], [], []]
+
+
+def _with_block(res, s, i, b, block):
+    """res with block b of stage-s generator i's differential replaced."""
+    blocks = list(res.diff[s][i])
+    blocks[b] = block
+    stage = res.diff[s][:i] + (blocks,) + res.diff[s][i + 1:]
+    return res._replace(diff=res.diff[:s] + (stage,) + res.diff[s + 1:])
+
+
+def test_verify_catches_a_unit_entry():
+    # h1's block Sq2 on x0, moved to relative degree 0, is the unit on x0:
+    # minimality forbids it, and its augmentation is x0 itself.
+    res = rs.minimal_resolution(sm.sphere_module(14), 5, 14)
+    assert res.diff[1][1] == [(0, 2, 0b1)]
+    bad = _with_block(res, 1, 1, 0, (0, 0, 0b1))
+    assert rs.verify(bad, 1) == ["unit entry in differential at stage 1, generator 1",
+                                 "augmentation of d(stage-1 generator 1) nonzero"]
+
+
+def test_verify_catches_a_nonzero_augmentation():
+    # h1·Q1(y15) maps by Sq2Sq1 onto Q0(y15), which Sq2Sq1 kills; Sq3 has
+    # the same degree and no unit term, but Sq3 Q0(y15) = Q3(y15) != 0.
+    res = rs.minimal_resolution(ep.d2_splitting_summands(16)[1], 2, 36)
+    assert res.stages[1][0].label == "h1·Q1(y15)"
+    # basis(3) is (Sq2Sq1, Sq3).
+    assert res.diff[1][0] == [(0, 3, 0b01)]
+    bad = _with_block(res, 1, 0, 0, (0, 3, 0b10))
+    assert rs.verify(bad, 1) == ["augmentation of d(stage-1 generator 0) nonzero"]
+
+
+def test_a_wrong_free_stage_stops_at_the_stage_it_spoils(monkeypatch):
+    # A right-multiplication table that drops each row's lowest bit makes
+    # wrong images from stage 1 on, so stage 2's generators cover false
+    # relations; each stage is verified as it is laid out, so the run
+    # stops there, before stage 3 gains a generator.
+    real = steenrod.right_masks
+    monkeypatch.setattr(steenrod, "right_masks",
+                        lambda a, d, e: [row & (row - 1) for row in real(a, d, e)])
+    gained = []
+    real_add = rs._Stage.add_generator
+
+    def counted(self, *args):
+        s, stage = 0, self
+        while stage.prev is not None:
+            s, stage = s + 1, stage.prev
+        gained.append(s)
+        return real_add(self, *args)
+
+    monkeypatch.setattr(rs._Stage, "add_generator", counted)
+    with pytest.raises(InternalError, match=re.escape("d.d != 0 at stage 2")):
+        rs.minimal_resolution(sm.sphere_module(16), 6, 16)
+    assert 2 in gained and 3 not in gained
 
 
 def test_determinism():
@@ -579,7 +626,7 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
 
     monkeypatch.setattr(rs._Stage, "kernel", counted)
     res = rs.minimal_resolution(sm.sphere_module(20), 6, 20)
-    gaining = {(g.s, g.t) for st in res.stages[1:] for g in st}
+    gaining = {(s, g.t) for s, st in enumerate(res.stages) if s for g in st}
     assert len(calls) == len(gaining) == 37
 
 
@@ -637,14 +684,15 @@ def test_free_stage_blocks_match_monomial_products(degrees, rises, rng):
     # with steenrod.basis of its relative degree), and mon on a generator g
     # maps to the sum of monomial_product(mon, a) over the pairs (j, a) of
     # d(g), placed in generator j's block, with no mask table involved.
-    # ``entries`` must group d(g)'s pairs by target generator, in basis order.
+    # ``split`` must give d(g)'s pairs as one block per target generator j,
+    # in generator order: j, the relative degree and the mask over its basis.
     degrees, top = sorted(degrees), 16
     prev = rs._Stage(types.SimpleNamespace(act=lambda i, d, v: 0))
     for t in range(top + 1):
         prev.extend(t)
         for gt in degrees:
             if gt == t:
-                prev.add_generator(0, t, 0, "g")
+                prev.add_generator(t, 0, "g")
     pos = {}
     for t in range(top + 1):
         keys = [(j, mon) for j, gt in enumerate(degrees) if gt <= t
@@ -670,13 +718,14 @@ def test_free_stage_blocks_match_monomial_products(degrees, rises, rng):
         assert cur.extend(t) == want
         for gt, dvec in zip(gens, dvecs):
             if gt == t:
-                groups = {}
+                masks = {}
                 for b in range(prev.dim(t)):
                     if dvec >> b & 1:
                         j, a = at[t][b]
-                        groups.setdefault(j, []).append(a)
-                assert prev.entries(t, dvec) == groups
-                cur.add_generator(1, t, dvec, "h")
+                        masks[j] = masks.get(j, 0) | 1 << steenrod.basis(t - degrees[j]).index(a)
+                blocks = prev.split(t, dvec)
+                assert blocks == [(j, t - degrees[j], mask) for j, mask in sorted(masks.items())]
+                cur.add_generator(t, blocks, "h")
     with pytest.raises(InternalError, match="out of range"):
         cur.extend(top + 1)
 
