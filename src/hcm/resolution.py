@@ -2,27 +2,32 @@
 
 The resolution is built degree by degree and decides by rank first.
 The image of the decomposables at each bidegree is eliminated once,
-forward only, into a pivot table whose size is its rank; each row
-carries its index as a tag, so the rows that cancel leave relations
-(Bruner's ``[image | identity]``, "Calculation of large Ext modules",
-1989).  Later generators have independent images, so the relations the
-stage keeps are a basis of its kernel: their count is the kernel's
-dimension before any kernel is computed, and the next stage reads its
-kernel basis off them alone (``_Stage.kernel``).  Where the next
-stage's table already has the kernel's dimension, no generator is
-missing and no kernel is read.
-Elsewhere each kernel vector, in pivot order, is reduced against the
-table to its canonical representative (no bit in a pivot column), and
-a nonzero one becomes a new free generator's differential and joins
-the table at its lowest bit, until the image has the kernel's
-dimension; the result is minimal (no unit entries) by construction.
+forward only, into a plain pivot table whose size is its rank, and the
+stage keeps those rows with their rank.  Later generators have
+independent images, so rows less rank is the kernel's dimension before
+any kernel is computed.  Where the next stage's table I already has
+that dimension, no generator is missing and no relation is read.
+Elsewhere, with Z the coordinates off I's pivot columns, the kernel K
+is I ⊕ (K ∩ Z), since I lies in K; the relations among the rows at
+Z's positions alone are a basis Y of K ∩ Z, found by tagging each of
+those rows with its index (Bruner's ``[image | identity]``,
+"Calculation of large Ext modules", 1989; ``_Stage.kernel``).
+One vector in Y is the canonical representative (no bit in a pivot
+column) of every kernel vector outside I, so it is the new free
+generator's differential.  With more, each vector of K's reduced
+echelon basis, read off I's rows and Y, in pivot order, is reduced
+against the table, and a nonzero one becomes a new generator's
+differential and joins the table at its lowest bit, until the image
+has the kernel's dimension; the result is minimal (no unit entries) by
+construction.
 Stage 0 reads the same kind of table, over the module's decomposables:
 each column that is not a pivot becomes a generator, named by its
 coset, which ``f2linalg.reduce`` of the pivot unit vectors gives.
 Generators are ordered by degree and then by kernel pivot, which pins
 labels and makes repeated runs identical.  Exactness is proved at
 every bidegree: stage 0 must cover the module (its own rank count),
-and each later image must have the kernel's dimension; since ``verify``
+each Y read must fill the table to the kernel's dimension, and each
+later image must have the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
 ``verify`` checks each stage as soon as it is laid out: it XORs d.d
@@ -40,9 +45,10 @@ scheme): g keeps d(g) as blocks, one sum a_j per target generator j,
 and each mon a_j is a row of the cached table ``steenrod.right_masks``
 placed at j's block by a shift.  That table is a per-process cache of
 the algebra, like ``sq_masks``, shared by every stage and every call,
-so a free stage keeps no images: a degree's images serve only that
-degree's elimination.  Stage s + 1 reads stage s's relations and layout,
-and stage 0's images are dropped once stage 0 is laid out.
+so a free stage lays a degree out without reading another degree's
+images.  Stage s + 1 reads stage s's rows, ranks and layout; a
+degree's rows are dropped once stage s + 1 has read them, and the last
+stage keeps none.
 
 Charts record, besides class labels and h_0/h_1/h_2 products, how far
 they can be trusted:
@@ -65,7 +71,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from operator import xor
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import f2linalg, steenrod
 from .errors import InternalError, RangeError, RefusalError
@@ -115,12 +121,14 @@ class _Stage:
     starting at ``offset[t][g]``.  The list ends with the degree's
     dimension, so a bit's generator is found by bisecting the block
     starts.  ``extend(t)`` returns the image of every degree-t basis
-    element, and ``rels[t]`` holds the relations among those of its
-    decomposables, until the next stage is done.
+    element.  Until the next stage has read degree t, ``rows[t]`` holds
+    the images of its decomposables and ``rank[t]`` their rank, so rows
+    less rank is the kernel's dimension; the last stage keeps no rows.
 
-    Stage 0 keeps its images, in ``img[t]``, until the stage is laid
-    out: the image of Sq^i rest on g is the module's Sq^i on the image of
-    rest.  A later stage keeps none: each generator keeps its
+    Stage 0 (``s`` is the stage's index) keeps its images, in
+    ``img[t]``, until the stage is laid out: the image of Sq^i rest on g
+    is the module's Sq^i on the image of rest.  A later stage lays a
+    degree out from no images of its own: each generator keeps its
     differential's blocks, (j, degree, mask) per target generator j,
     which the resolution hands out as its ``diff``, and
     the image of mon on g is the sum over them of mon times the mask,
@@ -131,12 +139,14 @@ class _Stage:
     def __init__(self, target):
         self.prev = target if isinstance(target, _Stage) else None
         self.module = target if self.prev is None else None
+        self.s = 0 if self.prev is None else self.prev.s + 1
         self.gens: list[Generator] = []
         self.aug: list[int] = []  # stage 0: each generator's module vector
         self.blocks: list[list[tuple[int, int, int]]] = []  # later: each one's differential
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
-        self.rels: dict[int, list[int]] = {}
+        self.rows: dict[int, list[int]] = {}
+        self.rank: dict[int, int] = {}
 
     def dim(self, t: int) -> int:
         return self.offset.get(t, (0,))[-1]
@@ -173,9 +183,26 @@ class _Stage:
             offset.append(len(img))
         return img
 
-    def kernel(self, t: int) -> Iterator[int]:
-        """The reduced echelon basis, in pivot order, of this stage's kernel at degree t."""
-        return f2linalg.reduced_basis(self.rels[t])
+    def kernel(self, t: int, piv: dict[int, int]) -> Iterable[int]:
+        """The kernel vectors at degree t that the next stage draws its new generators from.
+
+        ``piv`` is the echelon table of the next stage's image I.  With Z
+        the coordinates off its pivot columns, this stage's kernel K is
+        I ⊕ (K ∩ Z), and the relations among ``rows[t]`` at Z's positions,
+        mapped back, are a basis Y of K ∩ Z; raises unless I and Y together
+        have K's dimension.  A single vector in Y is the canonical
+        representative of every kernel vector outside I, so it is all that
+        is returned, and exactly what reducing K's basis against I would
+        give first; otherwise K's reduced echelon basis, in pivot order, is
+        read off I's rows and Y.
+        """
+        rows = self.rows[t]
+        off = [i for i in range(len(rows)) if i not in piv]
+        width = self.module.dim(t) if self.prev is None else self.prev.dim(t)
+        ys = [sum(1 << off[b] for b in _bits(rel))
+              for rel in f2linalg.tagged_echelon([rows[i] for i in off], width)[1]]
+        _check_exact(self.s + 1, t, len(piv) + len(ys), len(rows) - self.rank[t])
+        return ys if len(ys) == 1 else f2linalg.reduced_basis(list(piv.values()) + ys)
 
     def add_generator(self, t: int, image, label: str):
         """Add a generator in degree t mapping to image (a module vector, later blocks)."""
@@ -231,7 +258,9 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     for t in range(m.lo, max_t + 1):
         img = st0.extend(t)
         dim = m.dim(t)
-        piv, st0.rels[t] = f2linalg.tagged_echelon(img, dim)
+        piv = f2linalg.echelon(img)
+        if max_s:
+            st0.rows[t], st0.rank[t] = img[:], len(piv)
         if len(piv) < dim:
             # Each free column f becomes a generator, named by its coset:
             # e_f plus every pivot e_p whose canonical representative
@@ -244,18 +273,21 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             # The augmentation must be onto; count afresh, not from the choice above.
             piv = f2linalg.echelon(img)
         _check_exact(0, t, len(piv), dim)
-    st0.img = {}  # stage 1 reads stage 0's relations, not its images
+    st0.img = {}  # stage 1 reads stage 0's rows, not its images
 
     # -- higher stages: cover kernels degree by degree, each checked once laid out.
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
         lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
-            want = len(prev.rels[t])  # a basis of ker d at t
-            piv, cur.rels[t] = f2linalg.tagged_echelon(cur.extend(t), prev.dim(t))
+            want = len(prev.rows[t]) - prev.rank[t]  # dim ker d at t
+            rows = cur.extend(t)
+            piv = f2linalg.echelon(rows)
+            if s < max_s:
+                cur.rows[t], cur.rank[t] = rows, len(piv)
             if len(piv) < want:
                 ordinal = 0
-                for kv in prev.kernel(t):
+                for kv in prev.kernel(t, piv):
                     red = f2linalg.reduce(piv, kv)
                     if red == 0:
                         continue
@@ -266,7 +298,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     if len(piv) == want:
                         break  # every later kernel vector reduces to 0
             _check_exact(s, t, len(piv), want)
-        prev.rels = {}
+            del prev.rows[t]
         problems = verify(_freeze(m, max_s, max_t, stages), s)
         if problems:
             raise InternalError("resolution failed verification: " + "; ".join(problems))
@@ -283,9 +315,12 @@ def _check_exact(s: int, t: int, got: int, want: int):
     """Raise unless the image at (s, t) has the dimension exactness needs.
 
     At stage 0 that is the module's dimension (the augmentation is onto);
-    later it is the kernel's dimension, the number of relations the
-    previous stage kept.  ``verify`` checks d.d = 0 independently, so the image lies in
-    the kernel, and equal dimensions make them equal.
+    later it is the kernel's dimension, the previous stage's rows less
+    their rank, a full-rank count that also catches an image of rank
+    above it.  ``verify`` checks d.d = 0 independently, so the image lies
+    in the kernel, and equal dimensions make them equal.  Where a
+    generator is missing, ``_Stage.kernel`` also checks the image's rank
+    plus the size of the basis Y it reads against the kernel's dimension.
     """
     if got != want:
         raise InternalError(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hcm import barpage, cli, render, resolution as rs, stmodule as sm
+from hcm import barpage, cli, f2linalg, render, resolution as rs, stmodule as sm
 
 
 def run(capsys, *argv):
@@ -103,10 +103,23 @@ def test_ext_empty_sphere_range_exit_3(capsys):
 def _drop_a_relation(monkeypatch):
     real = rs._Stage.kernel
 
-    def lossy(self, t):
-        return list(real(self, t))[:-1]
+    def lossy(self, t, piv):
+        return list(real(self, t, piv))[:-1]
 
     monkeypatch.setattr(rs._Stage, "kernel", lossy)
+
+
+def _repeat_a_relation(monkeypatch):
+    # The basis of the kernel off the image's pivots gains a copy of one of
+    # its vectors: the span, and so every generator drawn from it, is
+    # unchanged, and only the check on the basis's size can see it.
+    real = f2linalg.tagged_echelon
+
+    def repeated(rows, width):
+        piv, rels = real(rows, width)
+        return piv, rels + rels[-1:]
+
+    monkeypatch.setattr(f2linalg, "tagged_echelon", repeated)
 
 
 def _corrupt_a_known_row(monkeypatch):
@@ -116,8 +129,10 @@ def _corrupt_a_known_row(monkeypatch):
 @pytest.mark.parametrize("break_engine, argv, message", [
     (_drop_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
      "resolution not exact"),
+    (_repeat_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
+     "resolution not exact at stage 1, degree 1: image dim 2, expected 1"),
     (_corrupt_a_known_row, ("bar-e1", "--n", "16"), "computed summand"),
-], ids=["resolver", "bar-page"])
+], ids=["resolver", "kernel-basis-size", "bar-page"])
 def test_engine_self_check_exit_5(capsys, monkeypatch, break_engine, argv, message):
     # A bug caught by the engine's own self-check is not bad input.
     monkeypatch.delenv("HCM_CACHE_DIR", raising=False)

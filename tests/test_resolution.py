@@ -11,19 +11,20 @@ import hashlib
 import json
 import re
 import types
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcm import classify
+from hcm import classify, cli
 from hcm import extpower as ep
 from hcm import f2linalg
 from hcm import resolution as rs
 from hcm import stmodule as sm
 from hcm import steenrod
-from hcm.errors import InternalError, RefusalError
+from hcm.errors import ConstructionError, InternalError, RefusalError
 from hcm.groups import AbelianGroup
 
 # -- independent oracle -------------------------------------------------------
@@ -602,12 +603,12 @@ def test_chart_digests_pinned(make, max_s, max_t, digest):
 def test_exactness_check_catches_a_missing_generator(monkeypatch):
     # Dropping one kernel vector per bidegree leaves d.d = 0 and minimality
     # intact, so only the exactness check, which compares each image with
-    # the number of relations the previous stage kept, can see the
-    # missing generators.
+    # the previous stage's rows less their rank, can see the missing
+    # generators.
     real = rs._Stage.kernel
 
-    def lossy(self, t):
-        return list(real(self, t))[:-1]
+    def lossy(self, t, piv):
+        return list(real(self, t, piv))[:-1]
 
     monkeypatch.setattr(rs._Stage, "kernel", lossy)
     with pytest.raises(InternalError, match="not exact"):
@@ -615,14 +616,14 @@ def test_exactness_check_catches_a_missing_generator(monkeypatch):
 
 
 def test_relations_only_where_a_generator_is_missing(monkeypatch):
-    # The number of kept relations gives each kernel's dimension, so a kernel
-    # basis is read off them only at bidegrees that gain a generator.
+    # The previous stage's rows less their rank give each kernel's dimension,
+    # so relations are read only at bidegrees that gain a generator.
     real = rs._Stage.kernel
     calls = []
 
-    def counted(self, t):
+    def counted(self, t, piv):
         calls.append(t)
-        return real(self, t)
+        return real(self, t, piv)
 
     monkeypatch.setattr(rs._Stage, "kernel", counted)
     res = rs.minimal_resolution(sm.sphere_module(20), 6, 20)
@@ -632,9 +633,9 @@ def test_relations_only_where_a_generator_is_missing(monkeypatch):
 
 def test_full_elimination_only_where_a_generator_is_missing(monkeypatch):
     # Every stage grows one forward echelon per bidegree, stage 0 names its
-    # generators' cosets through reduce, and a kernel is reduced from the
-    # relations that echelon kept, so neither rref nor span runs, not even
-    # where a stage-0 label is a sum over a coset.
+    # generators' cosets through reduce, and a kernel is read off the
+    # relations among the rows off the image's pivots, so neither rref nor
+    # span runs, not even where a stage-0 label is a sum over a coset.
     calls = []
 
     def counted(name):
@@ -665,7 +666,7 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch, exactness, message
     # differential is not a cycle; stopping early at the kernel's
     # dimension must not hide them.  The exactness check sees it first;
     # with that check off, verify's d.d = 0 must still see it.
-    def everything(self, t):
+    def everything(self, t, piv):
         return [1 << i for i in range(self.dim(t))]
 
     monkeypatch.setattr(rs._Stage, "kernel", everything)
@@ -673,6 +674,90 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch, exactness, message
         monkeypatch.setattr(rs, "_check_exact", lambda *args: None)
     with pytest.raises(InternalError, match=re.escape(message)):
         rs.minimal_resolution(sm.sphere_module(20), 6, 20)
+
+
+def relations_read_resolution(m, max_s, max_t):
+    """The resolver reading every relation: a full ``tagged_echelon`` per
+    bidegree keeps all of them, and new generators are drawn greedily from
+    the reduced echelon basis of the relations, reduced against the image.
+
+    It lays stages out through ``_Stage`` and labels them by ``_label_for``,
+    as the engine does, but reads no ranks and no image complement.
+    """
+    stages = [rs._Stage(m)]
+    for _ in range(max_s):
+        stages.append(rs._Stage(stages[-1]))
+    rels = [{} for _ in stages]
+    st0 = stages[0]
+    for t in range(m.lo, max_t + 1):
+        piv, rels[0][t] = f2linalg.tagged_echelon(st0.extend(t), m.dim(t))
+        reds = {p: f2linalg.reduce(piv, 1 << p) for p in piv}
+        for f in range(m.dim(t)):
+            if f not in piv:
+                phi = sum(1 << p for p, red in reds.items() if red >> f & 1)
+                st0.add_generator(t, 1 << f, m.element_name(t, phi | 1 << f))
+    for s in range(1, max_s + 1):
+        prev, cur = stages[s - 1], stages[s]
+        for t in range(min((g.t for g in prev.gens), default=max_t + 1) + 1, max_t + 1):
+            piv, rels[s][t] = f2linalg.tagged_echelon(cur.extend(t), prev.dim(t))
+            ordinal = 0
+            for kv in f2linalg.reduced_basis(rels[s - 1][t]):
+                red = f2linalg.reduce(piv, kv)
+                if red:
+                    blocks = prev.split(t, red)
+                    cur.add_generator(t, blocks, rs._label_for(s, t, blocks, prev, m, ordinal))
+                    ordinal += 1
+                    piv[(red & -red).bit_length() - 1] = red
+    return rs._freeze(m, max_s, max_t, stages)
+
+
+def assert_same_resolution(m, max_s, max_t):
+    res = rs.minimal_resolution(m, max_s, max_t)
+    want = relations_read_resolution(m, max_s, max_t)
+    assert (res.stages, res.diff, res.aug) == (want.stages, want.diff, want.aug)
+    return res
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("sphere", None), ("o", 20), ("o:0", 16), ("o:1", 17), ("o:4", 12), ("Z", 9),
+    ("d2-o", 16), ("d2-sphere", 15), ("d2-Z", 9), ("tensor-o", 17)])
+def test_builtins_match_the_relations_read(spec, n):
+    # Each builtin at the CLI's range: s <= 6 through hi + 6, and the sphere
+    # at the s <= 15, t <= 36 its benchmark runs.
+    if spec == "sphere":
+        assert_same_resolution(sm.sphere_module(36), 15, 36)
+    else:
+        m = cli._load_module("builtin:" + spec, n)
+        assert_same_resolution(m, 6, m.hi + 6)
+
+
+def test_sphere_matches_the_relations_read_on_both_branches():
+    # A bidegree gains as many generators as the basis of the kernel off
+    # the image's pivots has vectors: one is the differential itself, and
+    # two or more are drawn from the kernel's reduced basis.
+    res = assert_same_resolution(sm.sphere_module(50), 25, 50)
+    gained = Counter((s, g.t) for s, st in enumerate(res.stages) if s for g in st)
+    assert Counter(gained.values()) == {1: 206, 2: 17}
+
+
+@st.composite
+def cell_diagrams(draw):
+    degrees = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))
+    cells = [(f"c{i}", d) for i, d in enumerate(degrees)]
+    edges = [(src, dst, ds - dd) for src, ds in cells for dst, dd in cells
+             if ds - dd in (1, 2, 4) and draw(st.booleans())]
+    return cells, edges
+
+
+@given(cell_diagrams(), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_cell_diagrams_match_the_relations_read(diagram, rise):
+    cells, edges = diagram
+    try:
+        m = sm.from_cells(sm.diagram(cells, edges), (cells[0][1], cells[-1][1]), unstable=False)
+    except ConstructionError:
+        return  # an inconsistent action, refused
+    assert_same_resolution(m, 5, m.hi + rise + 4)
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=4),
