@@ -201,7 +201,10 @@ class _Stage:
         width = self.module.dim(t) if self.prev is None else self.prev.dim(t)
         ys = [sum(1 << off[b] for b in _bits(rel))
               for rel in f2linalg.tagged_echelon([rows[i] for i in off], width)[1]]
-        _check_exact(self.s + 1, t, len(piv) + len(ys), len(rows) - self.rank[t])
+        if len(piv) + len(ys) != (want := len(rows) - self.rank[t]):
+            raise InternalError(f"resolution not exact at stage {self.s + 1}, degree {t}: image "
+                                f"rank {len(piv)} plus {len(ys)} relations off its pivots, "
+                                f"kernel dim {want}")
         return ys if len(ys) == 1 else f2linalg.reduced_basis(list(piv.values()) + ys)
 
     def add_generator(self, t: int, image, label: str):
@@ -319,8 +322,8 @@ def _check_exact(s: int, t: int, got: int, want: int):
     their rank, a full-rank count that also catches an image of rank
     above it.  ``verify`` checks d.d = 0 independently, so the image lies
     in the kernel, and equal dimensions make them equal.  Where a
-    generator is missing, ``_Stage.kernel`` also checks the image's rank
-    plus the size of the basis Y it reads against the kernel's dimension.
+    generator is missing, ``_Stage.kernel`` checks the image's rank plus
+    |Y| against the kernel's dimension, in a message naming all three.
     """
     if got != want:
         raise InternalError(
@@ -360,8 +363,8 @@ def verify(res: FreeResolution, s: int) -> list[str]:
     read, so each stage is checked as it is laid out.  Composed blocks
     are multiplied by ``steenrod.mask_product``, which straightens by the
     Adem relations, and XORed per target generator; at s = 1 the module
-    applies each basis element of a block by ``act_word``.  The resolver's
-    ``sq_masks``, ``right_masks`` and ``first_letters`` are never read.
+    applies each block by ``act_mask``.  The resolver's ``sq_masks``,
+    ``right_masks`` and ``first_letters`` are never read.
     """
     problems = [f"unit entry in differential at stage {s}, generator {i}"
                 for i, blocks in enumerate(res.diff[s]) if any(d == 0 for _, d, _ in blocks)]
@@ -369,9 +372,7 @@ def verify(res: FreeResolution, s: int) -> list[str]:
         for i, blocks in enumerate(res.diff[1]):
             out = 0
             for j, d, mask in blocks:
-                mons, t = steenrod.basis(d), res.stages[0][j].t
-                for b in _bits(mask):
-                    out ^= res.module.act_word(mons[b], t, res.aug[j])
+                out ^= res.module.act_mask(mask, d, res.stages[0][j].t, res.aug[j])
             if out:
                 problems.append(f"augmentation of d(stage-1 generator {i}) nonzero")
         return problems

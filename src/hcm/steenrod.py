@@ -6,25 +6,24 @@ to sums of admissible monomials through the Adem relations
 
     Sq^a Sq^b = sum_c  C(b-c-1, a-2c) Sq^{a+b-c} Sq^c      (a < 2b),
 
-with binomial coefficients mod 2 evaluated by Lucas' theorem.  Sums are
-carried by :class:`SqSum`, a canonically ordered GF(2) linear
-combination of admissible monomials of one degree: ``SqSum(())`` is
-zero, ``SqSum(((),))`` is the unit, ``adem_reduce`` straightens a word
-and ``product`` multiplies two sums.
-
-Inside this module a sum is a bitmask over ``basis(d)``.  Straightening
-applies a word one letter at a time through ``_left_mul(i, d)``, the
-rows of Sq^i on ``basis(d)``, which the Adem relation on the first
-letter builds from lower degrees; ``mask_product`` caches the mask of
-a product per pair of masks and their degrees, and ``SqSum`` is built
-only where a sum is handed out.  The resolver reads two other tables,
-built by a separate bitmask recursion over ``first_letters``:
-``sq_masks``, the rows of Sq^i on ``basis(d)``, and ``right_masks``,
-the products of each ``basis(e)`` element with one fixed sum, each row
-Sq^i (from ``sq_masks``) on a row of lower degree.  Both are
-per-process caches of the algebra.  The resolver builds resolutions from them alone, and its
-``verify`` checks d.d = 0 from ``mask_product`` alone, so the two sides
-check each other.
+with binomial coefficients mod 2 evaluated by Lucas' theorem.  The
+engine carries a sum as a bitmask over ``basis(d)``; Sq^k alone is the
+last element of ``basis(k)``.  Straightening applies a word one letter
+at a time through ``_left_mul(i, d)``, the rows of Sq^i on ``basis(d)``,
+which the Adem relation on the first letter builds from lower degrees;
+``mask_product`` caches the mask of a product per pair of masks and
+their degrees.  :class:`SqSum`, a canonically ordered GF(2) sum of
+admissible monomials of one degree (``SqSum(())`` is zero,
+``SqSum(((),))`` the unit), ``product`` and ``monomial_product`` remain
+only for the benchmark tracer's probes; no other module names ``SqSum``.
+The resolver reads two other tables, built by a separate bitmask
+recursion over ``first_letters``: ``sq_masks``, the rows of Sq^i on
+``basis(d)``, and ``right_masks``, the products of each ``basis(e)``
+element with one fixed sum, each row Sq^i (from ``sq_masks``) on a row
+of lower degree.  Both are per-process caches of the algebra.  The
+resolver builds resolutions from them alone, while ``verify`` checks
+d.d = 0, and a module's ``validate`` its Adem relations, from
+``mask_product`` alone, so the two sides check each other.
 """
 
 from __future__ import annotations
@@ -139,13 +138,6 @@ def _from_mask(mask: int, d: int) -> SqSum:
     """The sum of the ``basis(d)`` elements at the set bits of mask."""
     mons = basis(d)
     return SqSum(tuple(mons[p] for p in reversed(list(_bits(mask)))))
-
-
-def adem_reduce(word: Sequence[int]) -> SqSum:
-    """Admissible-basis expansion of Sq^{word[0]}...Sq^{word[-1]}."""
-    if any(i <= 0 for i in word):
-        raise ContractViolationError("word entries must be positive")
-    return _from_mask(_apply(tuple(word), 0, 1), sum(word))
 
 
 @lru_cache(maxsize=None)

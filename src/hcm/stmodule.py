@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import f2linalg, steenrod
 from .errors import (ConstructionError, ContractViolationError, DiagramError, InputError,
                      RangeError, UnsupportedError, checked, fields, typed)
-from .steenrod import SqSum, choose_mod2
+from .steenrod import choose_mod2
 
 
 @checked
@@ -130,10 +130,11 @@ class GradedModule:
             d += a
         return vec
 
-    def act_sum(self, s: SqSum, d: int, vec: int) -> int:
-        out = 0
-        for mon in s.terms:
-            out ^= self.act_word(mon, d, vec)
+    def act_mask(self, mask: int, k: int, d: int, vec: int) -> int:
+        """Apply the sum of the ``steenrod.basis(k)`` elements at the set bits of mask."""
+        mons, out = steenrod.basis(k), 0
+        for b in f2linalg._bits(mask):
+            out ^= self.act_word(mons[b], d, vec)
         return out
 
     def element_name(self, d: int, vec: int) -> str:
@@ -144,7 +145,8 @@ class GradedModule:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Grading, unstability, and exhaustive in-window Adem checks."""
+        """Grading, unstability, and exhaustive in-window Adem checks; each
+        relation Sq^a Sq^b is a ``steenrod.mask_product``, applied by :meth:`act_mask`."""
         report: list[str] = []
         for (a, d), rows in self.action.items():
             if len(rows) != self.dim(d):
@@ -161,13 +163,14 @@ class GradedModule:
                             f"unstable violation: Sq^{a} nonzero on degree-{d} "
                             f"class {self.labels(d)[i]}")
         width = self.hi - self.lo
+        sq = lambda k: 1 << (len(steenrod.basis(k)) - 1)  # Sq^k, last in basis(k)
         for b in range(1, width + 1):
             for a in range(1, min(2 * b - 1, width - b) + 1):
-                rel = steenrod.adem_reduce((a, b))
+                rel = steenrod.mask_product(sq(a), a, sq(b), b)
                 for d in range(self.lo, self.hi - a - b + 1):
                     for i in range(self.dim(d)):
                         lhs = self.act(a, d + b, self.act(b, d, 1 << i))
-                        rhs = self.act_sum(rel, d, 1 << i)
+                        rhs = self.act_mask(rel, a + b, d, 1 << i)
                         if lhs != rhs:
                             report.append(
                                 f"Adem relation ({a},{b}) violated on degree-{d} "

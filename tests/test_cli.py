@@ -130,7 +130,8 @@ def _corrupt_a_known_row(monkeypatch):
     (_drop_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
      "resolution not exact"),
     (_repeat_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
-     "resolution not exact at stage 1, degree 1: image dim 2, expected 1"),
+     "resolution not exact at stage 1, degree 1: image rank 0 plus 2 relations off its "
+     "pivots, kernel dim 1"),
     (_corrupt_a_known_row, ("bar-e1", "--n", "16"), "computed summand"),
 ], ids=["resolver", "kernel-basis-size", "bar-page"])
 def test_engine_self_check_exit_5(capsys, monkeypatch, break_engine, argv, message):

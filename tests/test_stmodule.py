@@ -78,6 +78,17 @@ def test_validate_reports_adem_violation():
     assert any("(1,1)" in line for line in report)
 
 
+@pytest.mark.parametrize("sq1_y, sq3_x", [(1, 0), (0, 1), (1, 1)])
+def test_validate_checks_a_nonzero_right_side(sq1_y, sq3_x):
+    # Sq^1 Sq^2 = Sq^3, with Sq^2 x = y and Sq^3 x set by hand (a spectrum,
+    # so Sq^2 x may be nonzero): it holds only when Sq^1 y and Sq^3 x agree.
+    m = sm.GradedModule(
+        0, 3, {0: ("x",), 2: ("y",), 3: ("z",)},
+        {(2, 0): (0b1,), (1, 2): (sq1_y,), (3, 0): (sq3_x,)}, unstable=False)
+    want = [] if sq1_y == sq3_x else ["Adem relation (1,2) violated on degree-0 class x"]
+    assert m.validate() == want
+
+
 def test_from_cells_output_always_validates():
     for name, n in (("o:0", 16), ("o:1", 17), ("o:4", 12), ("o:0", 24), ("o:1", 25)):
         assert sm.builtin(name, n).validate() == []
