@@ -59,11 +59,14 @@ class ProductFact(NamedTuple):
 
 
 class StemDatabase:
-    """Immutable after load; queries resolve aliases and relation labels."""
+    """Immutable after load; queries resolve aliases and relation labels.
+
+    Each product is stored under the canonical labels of its factors, the
+    ones ``product`` compares; a factor no record names is ``NotFoundError``.
+    """
 
     def __init__(self, records: dict[int, StemRecord], products: tuple[ProductFact, ...]):
         self.records = dict(records)
-        self.products = tuple(products)
         self._alias: dict[str, tuple[int, str]] = {}
         for k, rec in self.records.items():
             for g in rec.generators:
@@ -71,6 +74,8 @@ class StemDatabase:
                     self._alias[name] = (k, g.label)
             for rel in rec.relations:
                 self._alias[rel["label"]] = (k, rel["label"])
+        self.products = tuple(p._replace(a=self.resolve(p.a)[1], b=self.resolve(p.b)[1])
+                              for p in products)
 
     def stem(self, k: int) -> StemRecord:
         if k not in self.records:
@@ -136,9 +141,9 @@ def parse_stems(data: dict) -> StemDatabase:
                 products.append(ProductFact(
                     typed(p["a"], str, "a"), typed(p["b"], str, "b"),
                     typed(p["result"], str, "result"), typed(p.get("note", ""), str, "note")))
-    except (KeyError, TypeError, ValueError) as exc:
+        return StemDatabase(records, tuple(products))
+    except (KeyError, TypeError, ValueError, NotFoundError) as exc:
         raise InputError(f"bad stems JSON: {exc}") from exc
-    return StemDatabase(records, tuple(products))
 
 
 def load_stems(path: Optional[str] = None) -> StemDatabase:

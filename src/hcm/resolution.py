@@ -20,14 +20,15 @@ against the table, and a nonzero one becomes a new generator's
 differential and joins the table at its lowest bit, until the image
 has the kernel's dimension; the result is minimal (no unit entries) by
 construction.
-Stage 0 reads the same kind of table, over the module's decomposables:
-each column that is not a pivot becomes a generator, named by its
-coset, which ``f2linalg.reduce`` of the pivot unit vectors gives.
-Generators are ordered by degree and then by kernel pivot, which pins
-labels and makes repeated runs identical.  Exactness is proved at
-every bidegree: stage 0 must cover the module (its own rank count),
-each Y read must fill the table to the kernel's dimension, and each
-later image must have the kernel's dimension; since ``verify``
+One loop lays out every stage so.  Stage 0's table is over the
+module's decomposables and it draws the unit vectors off the pivot
+columns, each named by its coset, which ``f2linalg.reduce`` of the
+pivot unit vectors gives.  Generators are ordered by degree and then
+by kernel pivot, which pins labels and makes repeated runs identical.
+Exactness is proved at every bidegree: a fresh rank count of the
+images stage 0 recorded must cover the module, each Y read must fill
+the table to the kernel's dimension, and each later image must have
+the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
 dimensions mean they are equal; a failed check raises ``InternalError``.
 ``verify`` checks each stage as soon as it is laid out: it XORs d.d
@@ -36,14 +37,15 @@ together from cached bitmask products of whole sums
 reads none of the resolver's tables (``sq_masks``, ``right_masks``,
 ``first_letters``), so a wrong mask table cannot vouch for itself.
 Every stage is the same kind of object, a free module whose generators
-map into a target.  Stage 0 maps into the module, and reaches the image
-of Sq^i rest on a generator by the module's Sq^i on the image of rest:
-the rests after one first letter are a prefix of a basis, so their
-images are one slice.  A later stage maps into the previous one, and
-the image of mon g is mon d(g) = sum_j (mon a_j) h_j (as in Bruner's
-scheme): g keeps d(g) as blocks, one sum a_j per target generator j,
-and each mon a_j is a row of the cached table ``steenrod.right_masks``
-placed at j's block by a shift.  That table is a per-process cache of
+map into a target, and the resolution's ``diff`` is each generator's
+image.  Stage 0 maps into the module, ``diff[0]`` is the augmentation,
+and the image of Sq^i rest on a generator is the module's Sq^i on the
+image of rest: the rests after one first letter are a prefix of a
+basis, so their images are one slice.  A later stage maps into the
+previous one, and the image of mon g is mon d(g) = sum_j (mon a_j) h_j
+(as in Bruner's scheme): g keeps d(g) as blocks, one sum a_j per
+target generator j, and each mon a_j is a row of the cached table
+``steenrod.right_masks`` placed at j's block by a shift.  That table is a per-process cache of
 the algebra, like ``sq_masks``, shared by every stage and every call,
 so a free stage lays a degree out without reading another degree's
 images.  Stage s + 1 reads stage s's rows, ranks and layout; a
@@ -91,21 +93,20 @@ class Generator(NamedTuple):
 
 
 class FreeResolution(NamedTuple):
-    """Stages of generators plus their differentials, as blocks.
+    """Stages of generators plus their differentials.
 
     ``stages[s][i]`` is stage-s generator i and ``diff[s][i]`` its
-    differential: one block ``(j, d, mask)`` per stage s-1 generator j
-    it reaches, in generator order, for the sum over ``steenrod.basis(d)``
-    at mask's set bits.  Stage-0 generators carry augmentation vectors
-    into the module instead, and ``diff[0]`` is empty.
+    image.  At stage 0 that is the augmentation, a bit-packed module
+    vector.  Later it is the differential as blocks: one ``(j, d, mask)``
+    per stage s-1 generator j it reaches, in generator order, for the
+    sum over ``steenrod.basis(d)`` at mask's set bits.
     """
 
     module: GradedModule
     max_s: int
     max_t: int
     stages: tuple[tuple[Generator, ...], ...]
-    diff: tuple[tuple[list[tuple[int, int, int]], ...], ...]
-    aug: tuple[int, ...]  # stage-0 generator -> bit-packed module vector
+    diff: tuple[tuple, ...]
 
     @property
     def total_generators(self) -> int:
@@ -125,15 +126,15 @@ class _Stage:
     the images of its decomposables and ``rank[t]`` their rank, so rows
     less rank is the kernel's dimension; the last stage keeps no rows.
 
-    Stage 0 (``s`` is the stage's index) keeps its images, in
+    Each generator keeps its image in ``diff``, which the resolution
+    hands out as its own: a module vector at stage 0 (``s`` is the
+    stage's index), later its differential's blocks, (j, degree, mask)
+    per target generator j.  Stage 0 also keeps every image, in
     ``img[t]``, until the stage is laid out: the image of Sq^i rest on g
     is the module's Sq^i on the image of rest.  A later stage lays a
-    degree out from no images of its own: each generator keeps its
-    differential's blocks, (j, degree, mask) per target generator j,
-    which the resolution hands out as its ``diff``, and
-    the image of mon on g is the sum over them of mon times the mask,
-    read off the cached table ``steenrod.right_masks`` and placed at j's
-    block of the target.
+    degree out from no images of its own: the image of mon on g is the
+    sum over its blocks of mon times the mask, read off the cached table
+    ``steenrod.right_masks`` and placed at j's block of the target.
     """
 
     def __init__(self, target):
@@ -141,8 +142,7 @@ class _Stage:
         self.module = target if self.prev is None else None
         self.s = 0 if self.prev is None else self.prev.s + 1
         self.gens: list[Generator] = []
-        self.aug: list[int] = []  # stage 0: each generator's module vector
-        self.blocks: list[list[tuple[int, int, int]]] = []  # later: each one's differential
+        self.diff: list = []  # each generator's module vector at stage 0, later its blocks
         self.offset: dict[int, list[int]] = {}
         self.img: dict[int, list[int]] = {}
         self.rows: dict[int, list[int]] = {}
@@ -168,12 +168,12 @@ class _Stage:
                     lo = self.offset[t - i][gi]
                     img += [act(i, t - i, v) for v in self.img[t - i][lo:lo + n]]
                 offset.append(len(img))
-            return img
+            return img[:]  # generators join img[t], not the rows read off it
         top = self.prev.offset.get(t)
         if top is None:
             raise InternalError(f"degree {t} of the previous stage out of range")
         right = steenrod.right_masks
-        for g, blocks in zip(self.gens, self.blocks):
+        for g, blocks in zip(self.gens, self.diff):
             rows = None
             for j, d, mask in blocks:
                 shift = top[j]
@@ -211,11 +211,9 @@ class _Stage:
         """Add a generator in degree t mapping to image (a module vector, later blocks)."""
         self.gens.append(Generator(t, label))
         self.offset[t].append(self.offset[t][-1] + 1)  # only its unit element joins degree t
+        self.diff.append(image)
         if self.prev is None:
-            self.aug.append(image)
             self.img[t].append(image)
-        else:
-            self.blocks.append(image)
 
     def split(self, t: int, vec: int) -> list[tuple[int, int, int]]:
         """A degree-t vector as (generator, relative degree, mask over that basis) per block."""
@@ -253,71 +251,56 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
     stages = [_Stage(m)]
     for _ in range(max_s):
         stages.append(_Stage(stages[-1]))
-
-    # -- stage 0: generators = basis of M / A+M, lifted to first free coordinates.
-    # A degree is laid out before any of its generators exist, so img[t]
-    # first holds only decomposables, at every stage.
-    st0 = stages[0]
-    for t in range(m.lo, max_t + 1):
-        img = st0.extend(t)
-        dim = m.dim(t)
-        piv = f2linalg.echelon(img)
-        if max_s:
-            st0.rows[t], st0.rank[t] = img[:], len(piv)
-        if len(piv) < dim:
-            # Each free column f becomes a generator, named by its coset:
-            # e_f plus every pivot e_p whose canonical representative
-            # (e_p plus p's reduced row) has bit f.
-            reds = {p: f2linalg.reduce(piv, 1 << p) for p in piv}
-            for f in range(dim):
-                if f not in piv:
-                    phi = sum(1 << p for p, red in reds.items() if red >> f & 1)
-                    st0.add_generator(t, 1 << f, m.element_name(t, phi | 1 << f))
-            # The augmentation must be onto; count afresh, not from the choice above.
-            piv = f2linalg.echelon(img)
-        _check_exact(0, t, len(piv), dim)
-    st0.img = {}  # stage 1 reads stage 0's rows, not its images
-
-    # -- higher stages: cover kernels degree by degree, each checked once laid out.
-    for s in range(1, max_s + 1):
-        prev, cur = stages[s - 1], stages[s]
-        lowest = min((g.t for g in prev.gens), default=max_t + 1) + 1
+    # A degree is laid out before any of its generators exist, so its
+    # rows first hold only decomposables, at every stage.
+    for s, cur in enumerate(stages):
+        prev = cur.prev
+        lowest = m.lo if prev is None else min((g.t for g in prev.gens), default=max_t + 1) + 1
         for t in range(lowest, max_t + 1):
-            want = len(prev.rows[t]) - prev.rank[t]  # dim ker d at t
+            # The image must fill the module at stage 0, and later the kernel.
+            want = m.dim(t) if prev is None else len(prev.rows[t]) - prev.rank[t]
             rows = cur.extend(t)
             piv = f2linalg.echelon(rows)
             if s < max_s:
                 cur.rows[t], cur.rank[t] = rows, len(piv)
             if len(piv) < want:
                 ordinal = 0
-                for kv in prev.kernel(t, piv):
-                    red = f2linalg.reduce(piv, kv)
+                draw = ([1 << f for f in range(want) if f not in piv] if prev is None
+                        else prev.kernel(t, piv))
+                for v in draw:
+                    red = f2linalg.reduce(piv, v)
                     if red == 0:
                         continue
-                    blocks = prev.split(t, red)
-                    cur.add_generator(t, blocks, _label_for(s, t, blocks, prev, m, ordinal))
+                    image = red if prev is None else prev.split(t, red)
+                    cur.add_generator(t, image, _label_for(s, t, image, prev, m, piv, ordinal))
                     ordinal += 1
                     piv[_low_bit(red)] = red
                     if len(piv) == want:
-                        break  # every later kernel vector reduces to 0
+                        break  # every later vector reduces to 0
+                if prev is None:  # the augmentation must be onto: recount what was recorded
+                    piv = f2linalg.echelon(cur.img[t])
             _check_exact(s, t, len(piv), want)
-            del prev.rows[t]
-        problems = verify(_freeze(m, max_s, max_t, stages), s)
-        if problems:
-            raise InternalError("resolution failed verification: " + "; ".join(problems))
+            if prev is not None:
+                del prev.rows[t]
+        cur.img = {}  # the next stage reads this one's rows, not its images
+        if s:
+            problems = verify(_freeze(m, max_s, max_t, stages), s)
+            if problems:
+                raise InternalError("resolution failed verification: " + "; ".join(problems))
     return _freeze(m, max_s, max_t, stages)
 
 
 def _freeze(m: GradedModule, max_s: int, max_t: int, stages: list[_Stage]) -> FreeResolution:
     """The resolution the stages hold so far."""
     return FreeResolution(m, max_s, max_t, tuple(tuple(st.gens) for st in stages),
-                          tuple(tuple(st.blocks) for st in stages), tuple(stages[0].aug))
+                          tuple(tuple(st.diff) for st in stages))
 
 
 def _check_exact(s: int, t: int, got: int, want: int):
     """Raise unless the image at (s, t) has the dimension exactness needs.
 
-    At stage 0 that is the module's dimension (the augmentation is onto);
+    At stage 0 that is the module's dimension, and ``got`` is a fresh
+    rank count of the augmentation stage 0 recorded, which must be onto;
     later it is the kernel's dimension, the previous stage's rows less
     their rank, a full-rank count that also catches an image of rank
     above it.  ``verify`` checks d.d = 0 independently, so the image lies
@@ -337,19 +320,30 @@ def _hk(d: int, mask: int) -> Optional[int]:
     return None
 
 
-def _label_for(s: int, t: int, blocks: list, prev: _Stage, m: GradedModule,
-               ordinal: int) -> str:
+def _label_for(s: int, t: int, image, prev: Optional[_Stage], m: GradedModule,
+               piv: dict[int, int], ordinal: int) -> str:
+    """The label of a stage-s generator drawn at degree t with image e_f, later blocks.
+
+    At stage 0 it is e_f's coset against ``piv``: e_f plus every pivot
+    e_p whose canonical representative (e_p plus p's reduced row) has
+    bit f.  Generators drawn before it in the degree are pivots at their
+    own bits only, which change no other bit of a representative.
+    """
+    if prev is None:
+        f = _low_bit(image)
+        return m.element_name(t, image | sum(
+            1 << p for p in piv if f2linalg.reduce(piv, 1 << p) >> f & 1))
     # Rule 1: an h_k edge (one block holds at most one); the earliest source wins.
-    for g, d, mask in blocks:
+    for g, d, mask in image:
         k = _hk(d, mask)
         if k is not None:
             return _h_label(k, prev.gens[g].label)
     # Rule 2: one block of one monomial starting with a 2-power, traced into the module.
-    if s == 1 and len(blocks) == 1:
-        (g, d, mask), = blocks
+    if s == 1 and len(image) == 1:
+        (g, d, mask), = image
         mon = steenrod.basis(d)[mask.bit_length() - 1]
         if mask & (mask - 1) == 0 and mon and mon[0] & (mon[0] - 1) == 0:
-            elem = m.act_word(mon[1:], prev.gens[g].t, prev.aug[g])
+            elem = m.act_word(mon[1:], prev.gens[g].t, prev.diff[g])
             if elem:
                 k = mon[0].bit_length() - 1
                 return _h_label(k, m.element_name(prev.gens[g].t + d - mon[0], elem))
@@ -359,11 +353,11 @@ def _label_for(s: int, t: int, blocks: list, prev: _Stage, m: GradedModule,
 def verify(res: FreeResolution, s: int) -> list[str]:
     """Minimality (no block at relative degree 0) and d.d = 0 at stage s >= 1.
 
-    Only ``diff[s]`` and ``diff[s - 1]`` (at s = 1, the augmentation) are
-    read, so each stage is checked as it is laid out.  Composed blocks
-    are multiplied by ``steenrod.mask_product``, which straightens by the
-    Adem relations, and XORed per target generator; at s = 1 the module
-    applies each block by ``act_mask``.  The resolver's ``sq_masks``,
+    Only ``diff[s]`` and ``diff[s - 1]`` are read, so each stage is
+    checked as it is laid out.  Composed blocks are multiplied by
+    ``steenrod.mask_product``, which straightens by the Adem relations,
+    and XORed per target generator; at s = 1 the module applies each
+    block to the augmentation, ``diff[0]``, by ``act_mask``.  The resolver's ``sq_masks``,
     ``right_masks`` and ``first_letters`` are never read.
     """
     problems = [f"unit entry in differential at stage {s}, generator {i}"
@@ -372,7 +366,7 @@ def verify(res: FreeResolution, s: int) -> list[str]:
         for i, blocks in enumerate(res.diff[1]):
             out = 0
             for j, d, mask in blocks:
-                out ^= res.module.act_mask(mask, d, res.stages[0][j].t, res.aug[j])
+                out ^= res.module.act_mask(mask, d, res.stages[0][j].t, res.diff[0][j])
             if out:
                 problems.append(f"augmentation of d(stage-1 generator {i}) nonzero")
         return problems

@@ -122,6 +122,17 @@ def _repeat_a_relation(monkeypatch):
     monkeypatch.setattr(f2linalg, "tagged_echelon", repeated)
 
 
+def _zero_an_augmentation(monkeypatch):
+    # Stage 0 draws each generator into its own pivot table, so only the
+    # recount of the images it recorded can see an augmentation of 0.
+    real = rs._Stage.add_generator
+
+    def zeroed(self, t, image, label):
+        real(self, t, 0 if self.prev is None else image, label)
+
+    monkeypatch.setattr(rs._Stage, "add_generator", zeroed)
+
+
 def _corrupt_a_known_row(monkeypatch):
     monkeypatch.setitem(barpage._EXPECTED, 0, ((2,), (2,), (2,)))
 
@@ -132,8 +143,10 @@ def _corrupt_a_known_row(monkeypatch):
     (_repeat_a_relation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
      "resolution not exact at stage 1, degree 1: image rank 0 plus 2 relations off its "
      "pivots, kernel dim 1"),
+    (_zero_an_augmentation, ("ext", "--module", "builtin:sphere", "--max-s", "4", "--max-t", "12"),
+     "resolution not exact at stage 0, degree 0: image dim 0, expected 1"),
     (_corrupt_a_known_row, ("bar-e1", "--n", "16"), "computed summand"),
-], ids=["resolver", "kernel-basis-size", "bar-page"])
+], ids=["resolver", "kernel-basis-size", "zero-augmentation", "bar-page"])
 def test_engine_self_check_exit_5(capsys, monkeypatch, break_engine, argv, message):
     # A bug caught by the engine's own self-check is not bad input.
     monkeypatch.delenv("HCM_CACHE_DIR", raising=False)
@@ -403,6 +416,31 @@ def test_stems_second_record_for_a_stem_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "--stems", str(path), "stems", "query", "--stem", "7")
     assert (code, out) == (2, "")
     assert err == "error: bad stems JSON: stems[1]: a second record for stem 7\n"
+
+
+def _nu_product_file(tmp_path, b):
+    obj = {"stems": [{"k": 3, "cyclic_orders": [8], "im_j_order": 8,
+                      "generators": [{"label": "nu", "aliases": ["h2"], "im_j": True}]}],
+           "products": [{"a": "h2", "b": b, "result": "0", "note": "by hand"}]}
+    path = tmp_path / "stems.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def test_stems_product_named_by_an_alias_is_found(tmp_path, capsys):
+    # A product is stored under its factors' canonical labels, so it is
+    # found whichever of their names the file or the query uses.
+    path = _nu_product_file(tmp_path, "h2")
+    for a, b in (("h2", "h2"), ("nu", "h2"), ("nu", "nu")):
+        code, out, err = run(capsys, "--stems", path, "stems", "query", "--product", a, b)
+        assert (code, out, err) == (0, "nu * nu = 0  (by hand)\n", ""), (a, b)
+
+
+def test_stems_product_naming_an_unknown_label_exit_2(tmp_path, capsys):
+    path = _nu_product_file(tmp_path, "nosuch")
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--stem", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: bad stems JSON: unknown generator label 'nosuch'\n"
 
 
 def test_stems_override_file(tmp_path, capsys):
