@@ -389,9 +389,10 @@ class ExtChart(NamedTuple):
 
     ``labels`` is the one record of which classes exist; dimensions and
     stage floors are read off it.  ``products[k]`` lists ((s, t, i),
-    (s+1, t+2^k, j)) pairs.  The trust metadata (stem bound from module
-    truncation, stage floors from minimality) lets group assembly prove
-    a column is complete.
+    (s+1, t+2^k, j)) pairs.  ``inside`` is group assembly's one test of
+    the computed rectangle; with the trust metadata (stem bound from
+    module truncation, stage floors from minimality) it lets group
+    assembly prove a column is complete.
     """
 
     max_s: int
@@ -421,27 +422,31 @@ class ExtChart(NamedTuple):
         return tuple(min((t for (s2, t), ls in self.labels.items() if s2 == s and ls),
                          default=self.max_t + 1) for s in range(self.max_s + 1))
 
+    def inside(self, s: int, t: int) -> bool:
+        """Whether the computed rectangle, s <= max_s and t <= max_t, holds (s, t)."""
+        return s <= self.max_s and t <= self.max_t
+
     def stem_complete(self, stem: int) -> bool:
         """True when no class in this stem can sit outside the computed rectangle.
 
-        Two certificates are tried.  Staircase: over a connected algebra
-        each stage of a minimal resolution starts at least one degree
-        above the previous one, so stems below the last stage's floor
-        minus max_s are finished.  Vanishing line: a nonzero positive
-        class over a cell in degree d has stem - d >= 2s - 3 (the
-        classical edge, attained by the degree-doubling family), so a
-        stem with no cell at its own degree is finished once the
-        rectangle covers s up to max((stem - d + 3) // 2).
+        Geometry only: ``homotopy_from_chart`` checks the window
+        truncation first.  Staircase: over a connected algebra each stage
+        of a minimal resolution starts at least one degree above the
+        previous one, so a stem below the last stage's floor minus max_s
+        is finished if its top-row spot is inside.  Vanishing line: a
+        nonzero positive class over a cell in degree d has stem - d >=
+        2s - 3 (the classical edge, attained by the degree-doubling
+        family), so a stem with no cell at its own degree is finished if
+        its spot at s = max((stem - d + 3) // 2) is inside.
         """
-        if self.trusted_stem_max is not None and stem > self.trusted_stem_max:
-            return False
-        if stem <= self.max_t - self.max_s and stem < self.stage_min_degree[-1] - self.max_s:
+        staircase = stem < self.stage_min_degree[-1] - self.max_s
+        if staircase and self.inside(self.max_s, stem + self.max_s):
             return True
         if stem in self.cell_degrees:
             return False
         s_bound = max(((stem - d + 3) // 2 for d in self.cell_degrees if d < stem),
                       default=0)
-        return s_bound <= self.max_s and stem + s_bound <= self.max_t
+        return self.inside(s_bound, stem + s_bound)
 
     def to_json(self) -> dict:
         return {
@@ -516,17 +521,15 @@ def ext_chart(res: FreeResolution,
         torsion_free_top_stems=frozenset(torsion_free_top_stems))
 
 
-def _at_boundary(chart: ExtChart, spot: tuple) -> bool:
-    """Whether a class sits in the chart's top row or last column."""
-    return spot[0] >= chart.max_s or spot[1] >= chart.max_t
+def _h0_strings(chart: ExtChart) -> tuple[dict[int, tuple[list, list]], set[int]]:
+    """Each untangled stem's maximal h_0 strings, bottom-up, split in two, and the tangled stems.
 
-
-def _h0_strings(chart: ExtChart) -> tuple[dict[int, list[list[tuple]]], set[int]]:
-    """Every maximal h_0 string, bottom-up and by stem, and the tangled stems.
-
+    A string is finite when its top's h_0 multiple is inside the
+    computed rectangle, so h_0 kills the top there; otherwise it reaches
+    the boundary.  Each stem maps to (finite strings, boundary strings).
     A stem is tangled when its h_0 edges branch or merge: its strings
     need a basis change before they can be read as cyclic summands, so
-    nothing may be read off them.
+    none is listed and nothing may be read off them.
     """
     up, hit, tangled = {}, set(), set()
     for a, b in chart.products.get(0, ()):
@@ -536,13 +539,17 @@ def _h0_strings(chart: ExtChart) -> tuple[dict[int, list[list[tuple]]], set[int]
         hit.add(b)
     strings: dict = {}
     for (s, t), ls in sorted(chart.labels.items()):
+        if t - s in tangled:
+            continue
         for i in range(len(ls)):
             run = [(s, t, i)]
             if run[0] in hit:
                 continue
             while run[-1] in up:
                 run.append(up[run[-1]])
-            strings.setdefault(t - s, []).append(run)
+            top_s, top_t, _ = run[-1]
+            finite, boundary = strings.setdefault(t - s, ([], []))
+            (finite if chart.inside(top_s + 1, top_t + 1) else boundary).append(run)
     return strings, tangled
 
 
@@ -550,26 +557,19 @@ def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> l
     """All possible Adams d_r arrows between nonzero spots, source stem in window.
 
     An empty list certifies collapse in the window.  Arrows are reported
-    for every r >= 2 with both endpoints inside the computed rectangle,
-    except those ruled out by h_0-linearity: if every source class has a
-    finite h_0 string (h_0^L kills it) and the target sits on a
-    torsion-free infinite tower (flagged stem, string capped at the
-    rectangle top), a nonzero d_r would make h_0^L of a tower class
-    vanish, which it cannot.  In a tangled stem no class is finite and
-    no spot is a tower.  Dimensions are read off the chart's labels.
+    for every r >= 2 whose target is ``inside`` the chart, except those
+    ruled out by h_0-linearity: if every source class lies on a finite
+    h_0 string (h_0^L kills it) and the target on a boundary string of
+    a flagged stem (a torsion-free tower), a nonzero d_r would make h_0^L
+    of a tower class vanish, which it cannot.  Both kinds of string are
+    ``_h0_strings``'s split, which lists none in a tangled stem.
+    Dimensions are read off the chart's labels.
     """
-    strings, tangled = _h0_strings(chart)
-    finite: set[tuple[int, int, int]] = set()
-    towers: set[tuple[int, int]] = set()
-    for stem, runs in strings.items():
-        if stem in tangled:
-            continue
-        for run in runs:
-            if not _at_boundary(chart, run[-1]):
-                finite.update(run)
-            elif stem in chart.torsion_free_top_stems:
-                towers.update(c[:2] for c in run)
-
+    finite, towers = set(), set()
+    for stem, (bounded, reaching) in _h0_strings(chart)[0].items():
+        finite.update(c for run in bounded for c in run)
+        if stem in chart.torsion_free_top_stems:
+            towers.update(c[:2] for run in reaching for c in run)
     arrows = []
     lo, hi = degree_window
     for (s, t), d in sorted(chart.dims.items()):
@@ -578,7 +578,7 @@ def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> l
             continue
         for r in range(2, chart.max_s - s + 1):
             s2, t2 = s + r, t + r - 1
-            if t2 > chart.max_t or not chart.dim(s2, t2):
+            if not chart.inside(s2, t2) or not chart.dim(s2, t2):
                 continue
             if (s2, t2) in towers and all((s, t, i) in finite for i in range(d)):
                 continue
@@ -591,12 +591,12 @@ def check_no_differentials(chart: ExtChart, degree_window: tuple[int, int]) -> l
 def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
     """Assemble the stem's group from maximal h_0 strings.
 
-    Bounded strings of length m give Z/2^m; a string that touches the
-    top of the computed region counts as a 2-complete Z only when the
-    stem is flagged torsion-free-at-top, and is refused otherwise.
-    Refuses stems with possible Adams differentials, columns the
-    resolution cannot certify complete, and tangled columns (h_0 edges
-    that branch or merge).
+    Finite strings of length m give Z/2^m; a string that reaches the
+    boundary counts as a 2-complete Z only when the stem is flagged
+    torsion-free-at-top, and is refused otherwise.  Refuses stems beyond
+    the window truncation, stems with possible Adams differentials,
+    columns the resolution cannot certify complete, and tangled columns
+    (h_0 edges that branch or merge).
     """
     if chart.trusted_stem_max is not None and stem > chart.trusted_stem_max:
         raise RefusalError(
@@ -613,11 +613,10 @@ def homotopy_from_chart(chart: ExtChart, stem: int) -> AbelianGroup:
     strings, tangled = _h0_strings(chart)
     if stem in tangled:
         raise RefusalError(f"h0 structure in stem {stem} branches; refusing to read")
-    runs = strings.get(stem, ())
-    bounded = [len(run) for run in runs if not _at_boundary(chart, run[-1])]
-    free = len(runs) - len(bounded)  # the strings that reach the boundary
-    if free and not flagged:
+    bounded, reaching = strings.get(stem, ((), ()))
+    if reaching and not flagged:
         raise RefusalError(
             f"h0 string in stem {stem} reaches the computed boundary; "
             "not flagged torsion-free-at-top")
-    return AbelianGroup(free, tuple(sorted((1 << m for m in bounded), reverse=True)))
+    return AbelianGroup(len(reaching),
+                        tuple(sorted((1 << len(run) for run in bounded), reverse=True)))
