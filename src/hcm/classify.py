@@ -45,6 +45,8 @@ class StemRecord(NamedTuple):
         order = self.group.order
         if self.k < 1:
             raise InputError("stem must be positive")
+        if self.im_j_order < 1:
+            raise InputError(f"im_j_order must be at least 1, got {self.im_j_order}")
         if order is not None and order % self.im_j_order:
             raise InputError(f"im_j_order {self.im_j_order} does not divide |pi_{self.k}|")
 
@@ -61,21 +63,31 @@ class ProductFact(NamedTuple):
 class StemDatabase:
     """Immutable after load; queries resolve aliases and relation labels.
 
-    Each product is stored under the canonical labels of its factors, the
-    ones ``product`` compares; a factor no record names is ``NotFoundError``.
+    Every label, alias and relation label names one thing; a name given
+    twice is ``InputError``.  Each product is stored under the canonical
+    labels of its factors, the ones ``product`` compares; a factor no
+    record names is ``NotFoundError``, and a nonzero result that names
+    nothing in the factors' total stem is ``InputError``.
     """
 
     def __init__(self, records: dict[int, StemRecord], products: tuple[ProductFact, ...]):
         self.records = dict(records)
         self._alias: dict[str, tuple[int, str]] = {}
         for k, rec in self.records.items():
-            for g in rec.generators:
-                for name in (g.label, *g.aliases):
-                    self._alias[name] = (k, g.label)
-            for rel in rec.relations:
-                self._alias[rel["label"]] = (k, rel["label"])
-        self.products = tuple(p._replace(a=self.resolve(p.a)[1], b=self.resolve(p.b)[1])
-                              for p in products)
+            names = [(name, g.label) for g in rec.generators for name in (g.label, *g.aliases)]
+            for name, label in names + [(rel["label"], rel["label"]) for rel in rec.relations]:
+                if name in self._alias:
+                    raise InputError(f"label {name!r} is named twice, in stem "
+                                     f"{self._alias[name][0]} and in stem {k}")
+                self._alias[name] = (k, label)
+        self.products = tuple(map(self._canonical, products))
+
+    def _canonical(self, p: ProductFact) -> ProductFact:
+        (ka, a), (kb, b) = self.resolve(p.a), self.resolve(p.b)
+        if p.result != "0" and self._alias.get(p.result, (None,))[0] != ka + kb:
+            raise InputError(f"product {p.a} * {p.b}: result {p.result!r} names nothing "
+                             f"in stem {ka + kb}")
+        return p._replace(a=a, b=b)
 
     def stem(self, k: int) -> StemRecord:
         if k not in self.records:
@@ -130,10 +142,14 @@ def parse_stems(data: dict) -> StemDatabase:
             k = typed(rec["k"], int, "k")
             if k in records:
                 raise ValueError(f"{where}: a second record for stem {k}")
-            records[k] = StemRecord(
-                k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
-                im_j_order=typed(rec.get("im_j_order", 1), int, "im_j_order"),
-                relations=tuple(relations), notes=listed(rec.get("notes", []), str, "notes"))
+            im_j_order = typed(rec.get("im_j_order", 1), int, "im_j_order")
+            notes = listed(rec.get("notes", []), str, "notes")
+            try:
+                records[k] = StemRecord(k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
+                                        im_j_order=im_j_order, relations=tuple(relations),
+                                        notes=notes)
+            except InputError as exc:  # a record's own checks, reported with its place
+                raise ValueError(f"{where}: {exc}") from exc
             plists.append((f"{where}.products", rec.get("products", [])))
         for where, plist in plists:
             for pos, p in enumerate(typed(plist, list, "products")):
@@ -142,7 +158,7 @@ def parse_stems(data: dict) -> StemDatabase:
                     typed(p["a"], str, "a"), typed(p["b"], str, "b"),
                     typed(p["result"], str, "result"), typed(p.get("note", ""), str, "note")))
         return StemDatabase(records, tuple(products))
-    except (KeyError, TypeError, ValueError, NotFoundError) as exc:
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise InputError(f"bad stems JSON: {exc}") from exc
 
 

@@ -443,6 +443,71 @@ def test_stems_product_naming_an_unknown_label_exit_2(tmp_path, capsys):
     assert err == "error: bad stems JSON: unknown generator label 'nosuch'\n"
 
 
+def _eta_nu_file(tmp_path, eta=None, nu=None, products=()):
+    eta = {"k": 1, "cyclic_orders": [2], "im_j_order": 2, "generators": [{"label": "eta"}],
+           **(eta or {})}
+    nu = {"k": 3, "cyclic_orders": [8], "im_j_order": 8, "generators": [{"label": "nu"}],
+          **(nu or {})}
+    path = tmp_path / "stems.json"
+    path.write_text(json.dumps({"stems": [eta, nu], "products": list(products)}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_stems_im_j_order_below_1_exit_2(tmp_path, capsys, order):
+    # 0 once divided the group's order and crashed; -2 loaded and was printed.
+    path = _eta_nu_file(tmp_path, eta={"im_j_order": order})
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--stem", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad stems JSON: stems[0]: im_j_order must be at least 1, got {order}\n"
+
+
+@pytest.mark.parametrize("eta, nu, named", [
+    ({}, {"generators": [{"label": "nu", "aliases": ["eta"]}]}, "'eta' is named twice, in stem 1 "
+                                                               "and in stem 3"),
+    ({}, {"relations": [{"label": "eta", "sum": ["nu"]}]}, "'eta' is named twice, in stem 1 "
+                                                          "and in stem 3"),
+    ({"generators": [{"label": "eta", "aliases": ["eta"]}]}, {}, "'eta' is named twice, in stem 1 "
+                                                                "and in stem 1"),
+])
+def test_stems_label_named_twice_exit_2(tmp_path, capsys, eta, nu, named):
+    # Before, the later name won: eta resolved to nu and "eta * eta" read nu * nu.
+    path = _eta_nu_file(tmp_path, eta, nu, [{"a": "nu", "b": "nu", "result": "0"}])
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--product", "eta", "eta")
+    assert (code, out, err) == (2, "", f"error: bad stems JSON: label {named}\n")
+
+
+@pytest.mark.parametrize("result", ["nonsense", "nu"])
+def test_stems_product_result_outside_its_stem_exit_2(tmp_path, capsys, result):
+    # A nonzero result must name a class of stem k_a + k_b: "nonsense" names
+    # nothing, and nu sits in stem 3, not 2.
+    path = _eta_nu_file(tmp_path, products=[{"a": "eta", "b": "eta", "result": result}])
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--product", "eta", "eta")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad stems JSON: product eta * eta: result {result!r} names nothing "
+                   "in stem 2\n")
+
+
+def test_stems_product_result_named_by_an_alias_loads(tmp_path, capsys):
+    path = _eta_nu_file(tmp_path, nu={"k": 2, "cyclic_orders": [2], "im_j_order": 1,
+                                      "generators": [{"label": "eta^2", "aliases": ["h1^2"]}]},
+                        products=[{"a": "eta", "b": "eta", "result": "h1^2"}])
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--product", "eta", "eta")
+    assert (code, out, err) == (0, "eta * eta = h1^2\n", "")
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"cyclic_orders": [3]}, "torsion orders must be powers of 2"),
+    ({"k": 0}, "stem must be positive"),
+])
+def test_stems_record_check_fails_with_its_place(tmp_path, capsys, field, message):
+    # A record's own checks read as every other fault of the file, naming the record.
+    path = _eta_nu_file(tmp_path, nu=field)
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--stem", "1")
+    assert (code, out, err) == (2, "", f"error: bad stems JSON: stems[1]: {message}\n")
+
+
 def test_stems_override_file(tmp_path, capsys):
     payload = {"stems": [{"k": 7, "cyclic_orders": [16], "im_j_order": 16,
                           "generators": [{"label": "sigma-alt", "aliases": [],
