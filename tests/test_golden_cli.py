@@ -32,7 +32,10 @@ from pathlib import Path
 CORPUS = Path(__file__).with_name("golden_cli.json")
 CACHE = "cache"
 
-# The module file of README's "File formats" section, and one with a misspelt key.
+_ETA = {"k": 1, "cyclic_orders": [2], "im_j_order": 2, "generators": [{"label": "eta"}]}
+
+# The module file of README's "File formats" section, one with a misspelt key,
+# and stems files with an im J order of 0, a name given twice and an unknown result.
 FILES = {
     "mymodule.json": {"window": [0, 3],
                       "cells": [{"label": "a", "degree": 0}, {"label": "b", "degree": 1}],
@@ -40,6 +43,12 @@ FILES = {
                       "unstable": False},
     "misspelt.json": {"window": [0, 3], "cells": [{"label": "a", "degree": 0}],
                       "edges": [], "unstabel": False},
+    "zero-order-stems.json": {"stems": [{**_ETA, "im_j_order": 0}]},
+    "colliding-stems.json": {"stems": [_ETA, {"k": 3, "cyclic_orders": [8], "im_j_order": 8,
+                                              "generators": [{"label": "nu", "aliases": ["eta"]}]}],
+                             "products": [{"a": "nu", "b": "nu", "result": "0"}]},
+    "unknown-result-stems.json": {"stems": [_ETA],
+                                  "products": [{"a": "eta", "b": "eta", "result": "nonsense"}]},
 }
 
 _README = [
@@ -97,6 +106,9 @@ _EXIT_2 = [
     "stems query --stem 99",
     "stems query --product foo bar",
     "stems query --stems missing.json --stem 7",
+    "stems query --stems zero-order-stems.json --stem 1",
+    "stems query --stems colliding-stems.json --product eta eta",
+    "stems query --stems unknown-result-stems.json --product eta eta",
 ]
 
 _EXIT_3 = [
