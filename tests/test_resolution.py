@@ -273,6 +273,27 @@ def test_verify_reads_no_mask_table(monkeypatch):
     assert all(rs.verify(res, s) == [] for s in range(1, res.max_s + 1))
 
 
+def test_the_resolver_reads_no_straightening(monkeypatch):
+    # The other direction: the resolver builds from sq_masks and right_masks
+    # alone, never from the Adem straightening that verify and validate use,
+    # so a wrong straightening cannot hide a wrong table either.
+    module = sm.sphere_module(30)
+    want = rs.ext_chart(rs.minimal_resolution(module, 12, 30)).to_json()
+
+    def forbidden(*args):
+        raise AssertionError("the resolver read the straightening")
+
+    cached = [f for f in vars(steenrod).values() if hasattr(f, "cache_clear")]
+    for name in ("_left_mul", "_adem_pair", "_apply", "mask_product", "monomial_product",
+                 "product"):
+        monkeypatch.setattr(steenrod, name, forbidden)
+    for f in cached:
+        f.cache_clear()
+    monkeypatch.setattr(steenrod, "_right_tables", {})
+    monkeypatch.setattr(rs, "verify", lambda res, s: [])
+    assert rs.ext_chart(rs.minimal_resolution(module, 12, 30)).to_json() == want
+
+
 def test_verify_catches_a_changed_differential_entry():
     # h2^2 maps by Sq4 + Sq3Sq1 onto h2; Sq4 alone has the same degree
     # and no unit term, but then d.d picks up Sq3Sq1 Sq4 = Sq7Sq1 != 0,
