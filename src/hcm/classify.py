@@ -80,14 +80,14 @@ class StemDatabase:
                     raise InputError(f"label {name!r} is named twice, in stem "
                                      f"{self._alias[name][0]} and in stem {k}")
                 self._alias[name] = (k, label)
-        self.products = tuple(map(self._canonical, products))
-
-    def _canonical(self, p: ProductFact) -> ProductFact:
-        (ka, a), (kb, b) = self.resolve(p.a), self.resolve(p.b)
-        if p.result != "0" and self._alias.get(p.result, (None,))[0] != ka + kb:
-            raise InputError(f"product {p.a} * {p.b}: result {p.result!r} names nothing "
-                             f"in stem {ka + kb}")
-        return p._replace(a=a, b=b)
+        canonical = []
+        for p in products:
+            (ka, a), (kb, b) = self.resolve(p.a), self.resolve(p.b)
+            if p.result != "0" and self._alias.get(p.result, (None,))[0] != ka + kb:
+                raise InputError(f"product {p.a} * {p.b}: result {p.result!r} names nothing "
+                                 f"in stem {ka + kb}")
+            canonical.append(p._replace(a=a, b=b))
+        self.products = tuple(canonical)
 
     def stem(self, k: int) -> StemRecord:
         if k not in self.records:
@@ -142,12 +142,11 @@ def parse_stems(data: dict) -> StemDatabase:
             k = typed(rec["k"], int, "k")
             if k in records:
                 raise ValueError(f"{where}: a second record for stem {k}")
-            im_j_order = typed(rec.get("im_j_order", 1), int, "im_j_order")
-            notes = listed(rec.get("notes", []), str, "notes")
             try:
-                records[k] = StemRecord(k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
-                                        im_j_order=im_j_order, relations=tuple(relations),
-                                        notes=notes)
+                records[k] = StemRecord(
+                    k=k, group=AbelianGroup(0, orders), generators=tuple(gens),
+                    im_j_order=typed(rec.get("im_j_order", 1), int, "im_j_order"),
+                    relations=tuple(relations), notes=listed(rec.get("notes", []), str, "notes"))
             except InputError as exc:  # a record's own checks, reported with its place
                 raise ValueError(f"{where}: {exc}") from exc
             plists.append((f"{where}.products", rec.get("products", [])))
