@@ -64,10 +64,13 @@ class StemDatabase:
     """Immutable after load; queries resolve aliases and relation labels.
 
     Every label, alias and relation label names one thing; a name given
-    twice is ``InputError``.  Each product is stored under the canonical
-    labels of its factors, the ones ``product`` compares; a factor no
-    record names is ``NotFoundError``, and a nonzero result that names
-    nothing in the factors' total stem is ``InputError``.
+    twice, or the name "0", which a product's result keeps for zero, is
+    ``InputError``, and so is a relation whose sum does not name one or
+    more distinct generators of its own stem, by label or alias.  Each
+    product is stored under the canonical labels of its factors, the ones
+    ``product`` compares; a factor no record names is ``NotFoundError``,
+    and a nonzero result that names nothing in the factors' total stem is
+    ``InputError``.
     """
 
     def __init__(self, records: dict[int, StemRecord], products: tuple[ProductFact, ...]):
@@ -76,10 +79,18 @@ class StemDatabase:
         for k, rec in self.records.items():
             names = [(name, g.label) for g in rec.generators for name in (g.label, *g.aliases)]
             for name, label in names + [(rel["label"], rel["label"]) for rel in rec.relations]:
+                if name == "0":
+                    raise InputError(f"label '0' in stem {k} would read as the zero product")
                 if name in self._alias:
                     raise InputError(f"label {name!r} is named twice, in stem "
                                      f"{self._alias[name][0]} and in stem {k}")
                 self._alias[name] = (k, label)
+            gens = dict(names)
+            for rel in rec.relations:
+                summands = [gens.get(name) for name in rel["sum"]]
+                if not summands or None in summands or len(set(summands)) < len(summands):
+                    raise InputError(f"relation {rel['label']!r}: sum {rel['sum']} does not name "
+                                     f"distinct generators of stem {k}")
         canonical = []
         for p in products:
             (ka, a), (kb, b) = self.resolve(p.a), self.resolve(p.b)

@@ -26,7 +26,8 @@ columns, each named by its coset, which ``f2linalg.reduce`` of the
 pivot unit vectors gives.  Generators are ordered by degree and then
 by kernel pivot, which pins labels and makes repeated runs identical.
 Exactness is proved at every bidegree: a fresh rank count of the
-images stage 0 recorded must cover the module, each Y read must fill
+augmentation stage 0 recorded, the decomposables' images with the new
+generators' ``diff``, must cover the module, each Y read must fill
 the table to the kernel's dimension, and each later image must have
 the kernel's dimension; since ``verify``
 checks d.d = 0 independently, the image lies in the kernel, so equal
@@ -38,17 +39,16 @@ reads none of the resolver's tables (``sq_masks``, ``right_masks``,
 ``first_letters``), so a wrong mask table cannot vouch for itself.
 Every stage is the same kind of object, a free module whose generators
 map into a target, and the resolution's ``diff`` is each generator's
-image.  Stage 0 maps into the module, ``diff[0]`` is the augmentation,
-and the image of Sq^i rest on a generator is the module's Sq^i on the
-image of rest: the rests after one first letter are a prefix of a
-basis, so their images are one slice.  A later stage maps into the
-previous one, and the image of mon g is mon d(g) = sum_j (mon a_j) h_j
-(as in Bruner's scheme): g keeps d(g) as blocks, one sum a_j per
-target generator j, and each mon a_j is a row of the cached table
-``steenrod.right_masks`` placed at j's block by a shift.  That table is a per-process cache of
-the algebra, like ``sq_masks``, shared by every stage and every call,
-so a free stage lays a degree out without reading another degree's
-images.  Stage s + 1 reads stage s's rows, ranks and layout; a
+image.  Every stage lays a degree out from ``diff`` alone, as in
+Bruner's scheme: the image of mon g is mon d(g).  Stage 0 maps into
+the module, ``diff[0]`` is the augmentation, and mon d(g) is the
+module's ``act_word``.  A later stage maps into the previous one, and
+mon d(g) = sum_j (mon a_j) h_j: g keeps d(g) as blocks, one sum a_j
+per target generator j, and each mon a_j is a row of the cached table
+``steenrod.right_masks`` placed at j's block by a shift.  That table
+is a per-process cache of the algebra, like ``sq_masks``, shared by
+every stage and every call, so no stage keeps or reads another
+degree's images.  Stage s + 1 reads stage s's rows, ranks and layout; a
 degree's rows are dropped once stage s + 1 has read them, and the last
 stage keeps none.
 
@@ -129,22 +129,20 @@ class _Stage:
     Each generator keeps its image in ``diff``, which the resolution
     hands out as its own: a module vector at stage 0 (``s`` is the
     stage's index), later its differential's blocks, (j, degree, mask)
-    per target generator j.  Stage 0 also keeps every image, in
-    ``img[t]``, until the stage is laid out: the image of Sq^i rest on g
-    is the module's Sq^i on the image of rest.  A later stage lays a
-    degree out from no images of its own: the image of mon on g is the
-    sum over its blocks of mon times the mask, read off the cached table
-    ``steenrod.right_masks`` and placed at j's block of the target.
+    per target generator j.  A degree is laid out from ``diff`` alone:
+    the image of mon on g is mon d(g), the module's ``act_word`` at stage
+    0, and later the sum over g's blocks of mon times the mask, read off
+    the cached table ``steenrod.right_masks`` and placed at j's block of
+    the target.
     """
 
     def __init__(self, target):
+        self.target = target
         self.prev = target if isinstance(target, _Stage) else None
-        self.module = target if self.prev is None else None
         self.s = 0 if self.prev is None else self.prev.s + 1
         self.gens: list[Generator] = []
         self.diff: list = []  # each generator's module vector at stage 0, later its blocks
         self.offset: dict[int, list[int]] = {}
-        self.img: dict[int, list[int]] = {}
         self.rows: dict[int, list[int]] = {}
         self.rank: dict[int, int] = {}
 
@@ -154,32 +152,27 @@ class _Stage:
     def extend(self, t: int) -> list[int]:
         """Lay out degree t for the generators present so far and return its images.
 
-        Once per degree, in order, and at a later stage only where the
-        previous stage has laid degree t out.
+        Each generator's block is the images of ``steenrod.basis(t - g.t)``
+        on it, in basis order, read off its ``diff`` entry alone.  Once per
+        degree, in order, and at a later stage only where the previous
+        stage has laid degree t out.
         """
         offset, img = [0], []
         self.offset[t] = offset
-        if self.prev is None:
-            self.img[t], act = img, self.module.act
-            for gi, g in enumerate(self.gens):
-                # The images of Sq^i rest, for the rests in a prefix of
-                # basis(t - g.t - i), are Sq^i on one slice of img[t - i].
-                for i, n in steenrod.first_letter_runs(t - g.t):
-                    lo = self.offset[t - i][gi]
-                    img += [act(i, t - i, v) for v in self.img[t - i][lo:lo + n]]
-                offset.append(len(img))
-            return img[:]  # generators join img[t], not the rows read off it
-        top = self.prev.offset.get(t)
+        top = self.target.offset.get(t) if self.s else ()
         if top is None:
             raise InternalError(f"degree {t} of the previous stage out of range")
-        right = steenrod.right_masks
-        for g, blocks in zip(self.gens, self.diff):
-            rows = None
-            for j, d, mask in blocks:
-                shift = top[j]
-                part = [row << shift for row in right(mask, d, t - g.t)]
-                rows = part if rows is None else list(map(xor, rows, part))
-            img += rows
+        for g, dg in zip(self.gens, self.diff):
+            if not self.s:  # the module's mon on the augmentation d(g)
+                act = self.target.act_word
+                img += [act(mon, g.t, dg) for mon in steenrod.basis(t - g.t)]
+            else:  # sum_j (mon a_j) h_j, each mon a_j a row of right_masks at j's block
+                rows = None
+                for j, d, mask in dg:
+                    shift = top[j]
+                    part = [row << shift for row in steenrod.right_masks(mask, d, t - g.t)]
+                    rows = part if rows is None else list(map(xor, rows, part))
+                img += rows
             offset.append(len(img))
         return img
 
@@ -198,7 +191,7 @@ class _Stage:
         """
         rows = self.rows[t]
         off = [i for i in range(len(rows)) if i not in piv]
-        width = self.module.dim(t) if self.prev is None else self.prev.dim(t)
+        width = self.target.dim(t)
         ys = [sum(1 << off[b] for b in _bits(rel))
               for rel in f2linalg.tagged_echelon([rows[i] for i in off], width)[1]]
         if len(piv) + len(ys) != (want := len(rows) - self.rank[t]):
@@ -208,12 +201,14 @@ class _Stage:
         return ys if len(ys) == 1 else f2linalg.reduced_basis(list(piv.values()) + ys)
 
     def add_generator(self, t: int, image, label: str):
-        """Add a generator in degree t mapping to image (a module vector, later blocks)."""
+        """Add a generator in degree t mapping to image (a module vector, later blocks).
+
+        Only its unit element joins degree t; higher degrees read its
+        image off ``diff`` when they are laid out.
+        """
         self.gens.append(Generator(t, label))
-        self.offset[t].append(self.offset[t][-1] + 1)  # only its unit element joins degree t
+        self.offset[t].append(self.offset[t][-1] + 1)
         self.diff.append(image)
-        if self.prev is None:
-            self.img[t].append(image)
 
     def split(self, t: int, vec: int) -> list[tuple[int, int, int]]:
         """A degree-t vector as (generator, relative degree, mask over that basis) per block."""
@@ -264,7 +259,7 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             if s < max_s:
                 cur.rows[t], cur.rank[t] = rows, len(piv)
             if len(piv) < want:
-                ordinal = 0
+                ordinal, first = 0, len(cur.gens)
                 draw = ([1 << f for f in range(want) if f not in piv] if prev is None
                         else prev.kernel(t, piv))
                 for v in draw:
@@ -278,11 +273,10 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     if len(piv) == want:
                         break  # every later vector reduces to 0
                 if prev is None:  # the augmentation must be onto: recount what was recorded
-                    piv = f2linalg.echelon(cur.img[t])
+                    piv = f2linalg.echelon(rows + cur.diff[first:])
             _check_exact(s, t, len(piv), want)
             if prev is not None:
                 del prev.rows[t]
-        cur.img = {}  # the next stage reads this one's rows, not its images
         if s:
             problems = verify(_freeze(m, max_s, max_t, stages), s)
             if problems:

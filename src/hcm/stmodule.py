@@ -124,8 +124,14 @@ class GradedModule:
         return out
 
     def act_word(self, word: Sequence[int], d: int, vec: int) -> int:
-        """Apply the composite Sq^{word[0]} ... Sq^{word[-1]}."""
+        """Apply the composite Sq^{word[0]} ... Sq^{word[-1]}, last letter first.
+
+        It stops at the first letter that gives 0, so a word costs one
+        ``act`` per letter applied to a nonzero vector.
+        """
         for a in reversed(word):
+            if not vec:
+                break
             vec = self.act(a, d, vec)
             d += a
         return vec
@@ -298,7 +304,11 @@ def from_cells(diag: CellDiagram, window: tuple[int, int], unstable: bool = True
 
 
 def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> GradedModule:
-    """Tensor product with the Cartan action Sq^a(x@y) = sum Sq^i x @ Sq^j y."""
+    """Tensor product with the Cartan action Sq^a(x@y) = sum Sq^i x @ Sq^j y.
+
+    The result is validated; one that fails (a factor's action breaks an
+    Adem relation, say) is ``ConstructionError``.
+    """
     lo, hi = window
     if hi > m1.hi + m2.hi:
         raise RangeError("tensor window exceeds the factors' data")
@@ -335,8 +345,12 @@ def tensor(m1: GradedModule, m2: GradedModule, window: tuple[int, int]) -> Grade
                                 out ^= 1 << p
                 rows.append(out)
             action[(a, d)] = tuple(rows)
-    return GradedModule(lo, hi, basis, action,
-                        unstable=m1.unstable and m2.unstable, truncated=True)
+    out = GradedModule(lo, hi, basis, action, unstable=m1.unstable and m2.unstable,
+                       truncated=True)
+    problems = out.validate()
+    if problems:
+        raise ConstructionError("Cartan output fails validation: " + "; ".join(problems))
+    return out
 
 
 # -- builtin modules --------------------------------------------------------

@@ -497,6 +497,43 @@ def test_stems_product_result_named_by_an_alias_loads(tmp_path, capsys):
     assert (code, out, err) == (0, "eta * eta = h1^2\n", "")
 
 
+@pytest.mark.parametrize("total", [["nonsense", "eta"], [], ["eta", "h1"], ["nu"]])
+def test_stems_relation_sum_names_distinct_generators_of_its_stem_exit_2(tmp_path, capsys,
+                                                                          total):
+    # Before, every one of these loaded: a name of nothing, an empty sum,
+    # one generator twice (by its label and its alias), and a generator of
+    # another stem.
+    eta = {"generators": [{"label": "eta", "aliases": ["h1"]}],
+           "relations": [{"label": "eta2", "sum": total}]}
+    path = _eta_nu_file(tmp_path, eta=eta)
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--stem", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad stems JSON: relation 'eta2': sum {total} does not name "
+                   "distinct generators of stem 1\n")
+
+
+@pytest.mark.parametrize("eta", [
+    {"generators": [{"label": "0"}]},
+    {"generators": [{"label": "eta", "aliases": ["0"]}]},
+    {"relations": [{"label": "0", "sum": ["eta"]}]},
+])
+def test_stems_name_0_exit_2(tmp_path, capsys, eta):
+    # Before, a generator named "0" loaded, and "eta * eta = 0" could read
+    # as the zero product or as that generator.
+    path = _eta_nu_file(tmp_path, eta=eta, products=[{"a": "nu", "b": "nu", "result": "0"}])
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--product", "nu", "nu")
+    assert (code, out) == (2, "")
+    assert err == "error: bad stems JSON: label '0' in stem 1 would read as the zero product\n"
+
+
+def test_stems_relation_sum_by_label_or_alias_loads(tmp_path, capsys):
+    nu = {"cyclic_orders": [8, 2], "generators": [{"label": "nu"}, {"label": "x", "aliases": ["y"]}],
+          "relations": [{"label": "nu+x", "sum": ["nu", "y"]}]}
+    path = _eta_nu_file(tmp_path, nu=nu)
+    code, out, err = run(capsys, "--stems", path, "stems", "query", "--stem", "3")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("field, message", [
     ({"cyclic_orders": [3]}, "torsion orders must be powers of 2"),
     ({"k": 0}, "stem must be positive"),

@@ -294,6 +294,22 @@ def test_the_resolver_reads_no_straightening(monkeypatch):
     assert rs.ext_chart(rs.minimal_resolution(module, 12, 30)).to_json() == want
 
 
+def test_stage_0_reads_no_resolver_table(monkeypatch):
+    # Stage 0 lays a degree out from each generator's augmentation alone:
+    # mon on g maps to the module's mon on d(g), through act_word, so no
+    # mask table and no other degree's images are read.
+    modules = [ep.tensor_square(17), sm.builtin("Z", 0), ep.d2_splitting_summands(16)[1]]
+    want = [rs.ext_chart(rs.minimal_resolution(m, 0, m.hi + 20)).to_json() for m in modules]
+
+    def forbidden(*args):
+        raise AssertionError("stage 0 read a resolver table")
+
+    for table in ("first_letter_runs", "first_letters", "sq_masks", "right_masks"):
+        monkeypatch.setattr(steenrod, table, forbidden)
+    assert [rs.ext_chart(rs.minimal_resolution(m, 0, m.hi + 20)).to_json()
+            for m in modules] == want
+
+
 def test_verify_catches_a_changed_differential_entry():
     # h2^2 maps by Sq4 + Sq3Sq1 onto h2; Sq4 alone has the same degree
     # and no unit term, but then d.d picks up Sq3Sq1 Sq4 = Sq7Sq1 != 0,
@@ -794,7 +810,7 @@ def test_free_stage_blocks_match_monomial_products(degrees, rises, rng):
     # ``split`` must give d(g)'s pairs as one block per target generator j,
     # in generator order: j, the relative degree and the mask over its basis.
     degrees, top = sorted(degrees), 16
-    prev = rs._Stage(types.SimpleNamespace(act=lambda i, d, v: 0))
+    prev = rs._Stage(types.SimpleNamespace(act_word=lambda w, d, v: 0))
     for t in range(top + 1):
         prev.extend(t)
         for gt in degrees:

@@ -155,6 +155,17 @@ def test_tensor_symmetric_under_swap():
                 assert {swap(x) for x in names} == names2
 
 
+def test_tensor_refuses_an_output_that_fails_validation():
+    # Sq^1 Sq^1 x0 = x2 breaks the Adem relation Sq^1 Sq^1 = 0, and the
+    # Cartan formula carries it to x⊗1; before, tensor returned it silently.
+    bad = sm.GradedModule(0, 2, {0: ("x0",), 1: ("x1",), 2: ("x2",)},
+                          {(1, 0): (1,), (1, 1): (1,)}, unstable=False)
+    one = sm.GradedModule(0, 0, {0: ("1",)}, {}, truncated=False)
+    with pytest.raises(ConstructionError, match=r"Cartan output fails validation: "
+                                                r"Adem relation \(1,1\) violated"):
+        sm.tensor(bad, one, (0, 2))
+
+
 def test_tensor_window_guard():
     m = sm.builtin("o:0", 16)
     with pytest.raises(RangeError):
