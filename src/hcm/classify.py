@@ -69,7 +69,8 @@ class StemDatabase:
     more distinct generators of its own stem, by label or alias.  Each
     product is stored under the canonical labels of its factors, the ones
     ``product`` compares; a factor no record names is ``NotFoundError``,
-    and a nonzero result that names nothing in the factors' total stem is
+    and a nonzero result that names nothing in the factors' total stem,
+    or a second product for the same unordered pair of factors, is
     ``InputError``.
     """
 
@@ -91,12 +92,15 @@ class StemDatabase:
                 if not summands or None in summands or len(set(summands)) < len(summands):
                     raise InputError(f"relation {rel['label']!r}: sum {rel['sum']} does not name "
                                      f"distinct generators of stem {k}")
-        canonical = []
+        canonical, pairs = [], set()
         for p in products:
             (ka, a), (kb, b) = self.resolve(p.a), self.resolve(p.b)
             if p.result != "0" and self._alias.get(p.result, (None,))[0] != ka + kb:
                 raise InputError(f"product {p.a} * {p.b}: result {p.result!r} names nothing "
                                  f"in stem {ka + kb}")
+            if (pair := frozenset((a, b))) in pairs:
+                raise InputError(f"product {p.a} * {p.b}: a second product for {a} and {b}")
+            pairs.add(pair)
             canonical.append(p._replace(a=a, b=b))
         self.products = tuple(canonical)
 

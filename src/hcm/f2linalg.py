@@ -1,15 +1,23 @@
 """Exact dense linear algebra over GF(2) with bit-packed rows.
 
 Rows are stored as Python integers, one bit per entry (bit ``j`` of row
-``i`` is the (i, j) entry), so XOR gives whole-row addition.  Every
-RREF, kernel and solution comes from one elimination, ``echelon`` or
-``tagged_echelon``, and ``reduced_basis``.  Values are immutable, and
-matrices compare by shape and entries.
+``i`` is the (i, j) entry), so XOR gives whole-row addition.  Values are
+immutable, and matrices compare by shape and entries.
+
+Two pivot conventions serve two kinds of answer.  A rank or a relation
+space does not depend on which bit a row pivots on, so ``top_echelon``
+and ``tagged_echelon``, which find them, pivot on a row's highest set
+bit: ``x.bit_length()`` makes no new int, where the lowest bit costs
+two (``-x`` and ``x & -x``).  A named representative is pinned to the
+lowest bit: ``echelon``'s table, ``reduce``'s canonical coset
+representative, and the reduced echelon bases of ``reduced_basis`` and
+``rref``, which run the top-bit elimination on bit-reversed rows.  Every
+RREF, kernel and solution comes from these.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolationError, checked
 
@@ -60,12 +68,33 @@ class F2Matrix(NamedTuple):
         return F2Matrix(self.cols, self.rows, tuple(cols))
 
 
+def top_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination on the highest set bit: bit length -> a row of that length.
+
+    Its length is the rows' rank and its values are a basis of their
+    span.  A row is reduced only until its top bit is free, so the rows
+    are not reduced against each other.  This is the elimination for a
+    rank or a span; where a representative is named, use ``echelon``.
+    """
+    piv: dict[int, int] = {}
+    for row in rows:
+        while row:
+            other = piv.get(k := row.bit_length())
+            if other is None:
+                piv[k] = row
+                break
+            row ^= other
+    return piv
+
+
 def echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Forward elimination: pivot column -> a row whose lowest set bit it is.
+    """Forward elimination on the lowest set bit: pivot column -> a row whose lowest bit it is.
 
     A row is reduced only until its lowest bit lands in a free column, so
     the rows are not reduced against each other; ``reduce`` still gives
-    the canonical representative modulo their span.
+    the canonical representative modulo their span.  The keys are the
+    span's pivot columns whatever rows span it, so ``echelon`` of
+    ``top_echelon``'s values has the keys of ``echelon`` of the rows.
     """
     piv: dict[int, int] = {}
     for row in rows:
@@ -98,33 +127,31 @@ def reduce(piv: dict[int, int], v: int) -> int:
     return out
 
 
-def tagged_echelon(rows: Iterable[int], width: int) -> tuple[dict[int, int], list[int]]:
-    """``echelon`` of rows of ``width`` bits, and the relations among them.
+def tagged_echelon(rows: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """``top_echelon`` of rows, and a basis of the relations among them.
 
-    Row i carries the tag bit ``width + i`` through the same XORs, so a
-    row whose bits below ``width`` cancel stops at its tags: shifted down,
-    they are a relation.  Each one's top bit is its own row's, and there
-    are as many as rows less the rank, so they are a basis of the
-    relations.  The pivot table is ``echelon(rows)``.
+    With n rows, row i becomes ``row << n | 1 << i``: its tag sits below
+    the data and rides through the same XORs, which are decided by the
+    data's top bit alone.  A row whose data cancels stops at its tags, a
+    relation.  Rows before i carry tags below i only, so each relation's
+    top bit is its own row's, and there are as many as rows less the
+    rank: they are a basis of the relations.  The pivot table, the data
+    shifted back down, is ``top_echelon(rows)``.
     """
+    n = len(rows)
     piv: dict[int, int] = {}
     rels: list[int] = []
-    tag = 1 << width
-    for row in rows:
-        row |= tag
-        tag <<= 1
-        while True:
-            c = (row & -row).bit_length() - 1
-            other = piv.get(c)  # no pivot lies in the tag block
+    for i, row in enumerate(rows):
+        row = row << n | 1 << i
+        while (k := row.bit_length()) > n:
+            other = piv.get(k)
             if other is None:
+                piv[k] = row
                 break
             row ^= other
-        if c < width:
-            piv[c] = row
         else:
-            rels.append(row >> width)
-    mask = (1 << width) - 1
-    return {c: row & mask for c, row in piv.items()}, rels
+            rels.append(row)
+    return {k - n: row >> n for k, row in piv.items()}, rels
 
 
 def reduced_basis(vectors: Iterable[int]) -> Iterator[int]:
@@ -144,15 +171,33 @@ def reduced_basis(vectors: Iterable[int]) -> Iterator[int]:
         yield row | 1 << c
 
 
+def _reverse(x: int, w: int) -> int:
+    """The w-bit x with its bits in reverse order."""
+    return int(format(x, f"0{w}b")[::-1], 2)
+
+
 def rref(m: F2Matrix) -> tuple[F2Matrix, tuple[int, ...]]:
     """Reduced row-echelon form of ``m`` and its pivot columns.
 
-    The rows are ``reduced_basis`` of m's, padded with zero rows.
+    The rows are ``reduced_basis`` of m's, padded with zero rows, found
+    on the top bit: reversed over m's columns, a row's lowest bit is its
+    highest, so ``top_echelon`` of the reversed rows has the pivots, and
+    a top-bit RREF of them, reversed back, is the low-bit one.  Each row,
+    shortest first, has its other pivot bits cleared from the top by the
+    rows already reduced below it, which bring in no pivot bit.
     """
-    out_rows = list(reduced_basis(m.data))
-    cols = tuple(_low_bit(r) for r in out_rows)
-    out_rows.extend([0] * (m.rows - len(out_rows)))
-    return F2Matrix(m.rows, m.cols, tuple(out_rows)), cols
+    w = m.cols
+    piv = top_echelon(_reverse(r, w) for r in m.data)
+    mask = 0
+    for k in sorted(piv):
+        row = piv[k]
+        while high := row & mask:
+            row ^= piv[high.bit_length()]
+        piv[k] = row
+        mask |= 1 << k - 1
+    keys = sorted(piv, reverse=True)  # increasing pivot column w - k
+    out_rows = [_reverse(piv[k], w) for k in keys] + [0] * (m.rows - len(keys))
+    return F2Matrix(m.rows, m.cols, tuple(out_rows)), tuple(w - k for k in keys)
 
 
 class Subspace(NamedTuple):
@@ -189,7 +234,7 @@ def kernel(m: F2Matrix) -> Subspace:
     """Null space {x : m x = 0}: the reduced echelon basis of the relations
     among m's columns, which ``tagged_echelon`` finds (Bruner 1989).
     """
-    rels = tagged_echelon(m.transpose().data, m.rows)[1]
+    rels = tagged_echelon(m.transpose().data)[1]
     return Subspace(tuple(reduced_basis(rels)), m.cols)
 
 
@@ -203,7 +248,7 @@ def solve(m: F2Matrix, b: int) -> Optional[int]:
     """
     if b < 0 or b >> m.rows:
         raise ContractViolationError("right-hand side longer than row count")
-    rels = tagged_echelon(m.transpose().data + (b,), m.rows)[1]
+    rels = tagged_echelon(m.transpose().data + (b,))[1]
     if rels and rels[-1] >> m.cols:
         return rels[-1] ^ 1 << m.cols
     return None

@@ -2,12 +2,16 @@
 
 The resolution is built degree by degree and decides by rank first.
 The image of the decomposables at each bidegree is eliminated once,
-forward only, into a plain pivot table whose size is its rank, and the
-stage keeps those rows with their rank.  Later generators have
-independent images, so rows less rank is the kernel's dimension before
-any kernel is computed.  Where the next stage's table I already has
-that dimension, no generator is missing and no relation is read.
-Elsewhere, with Z the coordinates off I's pivot columns, the kernel K
+forward only, on the highest set bit (``f2linalg.top_echelon``) into a
+plain pivot table whose size is its rank, and the stage keeps those
+rows with their rank.  Later generators have independent images, so
+rows less rank is the kernel's dimension before any kernel is
+computed.  Where the next stage's image already has that dimension, no
+generator is missing and no relation is read.  Elsewhere the table's
+rows are eliminated again on the lowest bit (``f2linalg.echelon``) into
+the table I that every named representative is read against: a rank
+and a relation space do not depend on the pivot, a representative
+does.  With Z the coordinates off I's pivot columns, the kernel K
 is I ⊕ (K ∩ Z), since I lies in K; the relations among the rows at
 Z's positions alone are a basis Y of K ∩ Z, found by tagging each of
 those rows with its index (Bruner's ``[image | identity]``,
@@ -72,7 +76,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from operator import xor
+from itertools import repeat
+from operator import lshift, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import f2linalg, steenrod
@@ -153,9 +158,14 @@ class _Stage:
         """Lay out degree t for the generators present so far and return its images.
 
         Each generator's block is the images of ``steenrod.basis(t - g.t)``
-        on it, in basis order, read off its ``diff`` entry alone.  Once per
-        degree, in order, and at a later stage only where the previous
-        stage has laid degree t out.
+        on it, in basis order, read off its ``diff`` entry alone.  At a
+        later stage each ``right_masks`` row is shifted to its target
+        block (not at all for block 0) and XORed with the other blocks'
+        rows lazily, element by element, so no list is built per block.
+        Once per degree, in order, and at a later stage only where the
+        previous stage has laid degree t out.  The images are eliminated
+        for their rank on the top bit and, where a generator is drawn,
+        again on the low bit.
         """
         offset, img = [0], []
         self.offset[t] = offset
@@ -169,9 +179,10 @@ class _Stage:
             else:  # sum_j (mon a_j) h_j, each mon a_j a row of right_masks at j's block
                 rows = None
                 for j, d, mask in dg:
-                    shift = top[j]
-                    part = [row << shift for row in steenrod.right_masks(mask, d, t - g.t)]
-                    rows = part if rows is None else list(map(xor, rows, part))
+                    part = steenrod.right_masks(mask, d, t - g.t)
+                    if top[j]:
+                        part = map(lshift, part, repeat(top[j]))
+                    rows = part if rows is None else map(xor, rows, part)
                 img += rows
             offset.append(len(img))
         return img
@@ -191,9 +202,8 @@ class _Stage:
         """
         rows = self.rows[t]
         off = [i for i in range(len(rows)) if i not in piv]
-        width = self.target.dim(t)
         ys = [sum(1 << off[b] for b in _bits(rel))
-              for rel in f2linalg.tagged_echelon([rows[i] for i in off], width)[1]]
+              for rel in f2linalg.tagged_echelon([rows[i] for i in off])[1]]
         if len(piv) + len(ys) != (want := len(rows) - self.rank[t]):
             raise InternalError(f"resolution not exact at stage {self.s + 1}, degree {t}: image "
                                 f"rank {len(piv)} plus {len(ys)} relations off its pivots, "
@@ -255,10 +265,12 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
             # The image must fill the module at stage 0, and later the kernel.
             want = m.dim(t) if prev is None else len(prev.rows[t]) - prev.rank[t]
             rows = cur.extend(t)
-            piv = f2linalg.echelon(rows)
+            top = f2linalg.top_echelon(rows)  # a rank: pivots on the top bit
+            got = len(top)
             if s < max_s:
-                cur.rows[t], cur.rank[t] = rows, len(piv)
-            if len(piv) < want:
+                cur.rows[t], cur.rank[t] = rows, got
+            if got < want:  # generators are named against the low-bit table
+                piv = f2linalg.echelon(top.values())
                 ordinal, first = 0, len(cur.gens)
                 draw = ([1 << f for f in range(want) if f not in piv] if prev is None
                         else prev.kernel(t, piv))
@@ -272,9 +284,10 @@ def minimal_resolution(m: GradedModule, max_s: int, max_t: int) -> FreeResolutio
                     piv[_low_bit(red)] = red
                     if len(piv) == want:
                         break  # every later vector reduces to 0
+                got = len(piv)
                 if prev is None:  # the augmentation must be onto: recount what was recorded
-                    piv = f2linalg.echelon(rows + cur.diff[first:])
-            _check_exact(s, t, len(piv), want)
+                    got = len(f2linalg.top_echelon(rows + cur.diff[first:]))
+            _check_exact(s, t, got, want)
             if prev is not None:
                 del prev.rows[t]
         if s:

@@ -126,10 +126,10 @@ def _apply(word: Sequence[int], d: int, mask: int) -> int:
     """
     for letter in reversed(word):
         rows, out = _left_mul(letter, d), 0
-        while mask:
-            low = mask & -mask
-            out ^= rows[low.bit_length() - 1]
-            mask ^= low
+        while mask:  # from the top bit down: no -mask and mask & -mask to allocate
+            b = mask.bit_length() - 1
+            out ^= rows[b]
+            mask ^= 1 << b
         mask, d = out, d + letter
     return mask
 
@@ -271,10 +271,10 @@ def right_masks(a: int, d: int, e: int) -> list[int]:
                     masks, lo = sq_masks(i, f - i + d), starts[f - i]
                     for row in rows[lo:lo + n]:
                         acc = 0
-                        while row:
-                            low = row & -row
-                            acc ^= masks[low.bit_length() - 1]
-                            row ^= low
+                        while row:  # set bits from the top, as in _apply
+                            b = row.bit_length() - 1
+                            acc ^= masks[b]
+                            row ^= 1 << b
                         rows.append(acc)
                 starts.append(len(rows))
     rows, starts = table

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from hcm import barpage, cli, f2linalg, render, resolution as rs, stmodule as sm
+from hcm.stems_data import BUNDLED_STEMS
 
 
 def run(capsys, *argv):
@@ -115,8 +116,8 @@ def _repeat_a_relation(monkeypatch):
     # unchanged, and only the check on the basis's size can see it.
     real = f2linalg.tagged_echelon
 
-    def repeated(rows, width):
-        piv, rels = real(rows, width)
+    def repeated(rows):
+        piv, rels = real(rows)
         return piv, rels + rels[-1:]
 
     monkeypatch.setattr(f2linalg, "tagged_echelon", repeated)
@@ -418,6 +419,22 @@ def test_stems_second_record_for_a_stem_exit_2(tmp_path, capsys):
     assert err == "error: bad stems JSON: stems[1]: a second record for stem 7\n"
 
 
+@pytest.mark.parametrize("a, b", [("mu9", "sigma"), ("mu", "h3")])
+def test_stems_second_product_for_a_pair_exit_2(tmp_path, capsys, a, b):
+    # The bundled data already records sigma * mu9; a second product for
+    # the pair, in either order or by aliases, once loaded and lost to the
+    # first.
+    data = {**BUNDLED_STEMS,
+            "products": BUNDLED_STEMS["products"] + [{"a": a, "b": b, "result": "0"}]}
+    path = tmp_path / "stems.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "--stems", str(path), "stems", "query", "--product", "mu9",
+                         "sigma")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad stems JSON: product {a} * {b}: a second product for "
+                   "mu9 and sigma\n")
+
+
 def _nu_product_file(tmp_path, b):
     obj = {"stems": [{"k": 3, "cyclic_orders": [8], "im_j_order": 8,
                       "generators": [{"label": "nu", "aliases": ["h2"], "im_j": True}]}],
@@ -560,8 +577,9 @@ def _stems_file(tmp_path, where=None, key=None, value=None):
     gen = {"label": "sigma", "aliases": ["h3"], "im_j": True, "mu_family": False}
     rel = {"label": "sigma'", "sum": ["sigma"], "im_j": True}
     prod = {"a": "sigma", "b": "h3", "result": "0", "note": "a note"}
+    # the record's product is another pair: a pair is given one product
     rec = {"k": 7, "cyclic_orders": [16], "im_j_order": 16, "generators": [gen],
-           "relations": [rel], "notes": ["a note"], "products": [dict(prod)]}
+           "relations": [rel], "notes": ["a note"], "products": [{**prod, "b": "sigma'"}]}
     obj = {"schema": 1, "stems": [rec], "products": [prod]}
     if where is not None:
         {"top": obj, "record": rec, "generator": gen, "relation": rel,

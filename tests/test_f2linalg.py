@@ -241,20 +241,25 @@ def full_rref_relations(rows, width):
             for row, p in zip(red, pivots) if p >= width]
 
 
-@given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-@example(0, 0, random.Random(0))
-@example(5, 0, random.Random(0))
-def test_tagged_echelon_matches_echelon_and_a_full_rref(nrows, width, rng):
-    # about a quarter of the rows are zero and some repeat an earlier row,
-    # so relations are common
+def rows_with_relations(nrows, width, rng):
+    """About a quarter of the rows are zero and some repeat an earlier row,
+    so relations are common."""
     rows = []
     for _ in range(nrows):
         x = rng.random()
         rows.append(0 if x < 0.25 else rng.choice(rows) if rows and x < 0.4
                     else rng.getrandbits(width))
-    piv, rels = f2.tagged_echelon(rows, width)
-    assert {c: row & ((1 << width) - 1) for c, row in piv.items()} == f2.echelon(rows)
+    return rows
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, random.Random(0))
+@example(5, 0, random.Random(0))
+def test_tagged_echelon_matches_echelon_and_a_full_rref(nrows, width, rng):
+    rows = rows_with_relations(nrows, width, rng)
+    piv, rels = f2.tagged_echelon(rows)
+    assert piv == f2.top_echelon(rows)
     assert len(rels) == nrows - len(piv)
     for rel in rels:
         acc = 0
@@ -262,7 +267,25 @@ def test_tagged_echelon_matches_echelon_and_a_full_rref(nrows, width, rng):
             if (rel >> i) & 1:
                 acc ^= rows[i]
         assert acc == 0
+    # Each relation's top bit is its own row's: a row in the span of the
+    # rows before it, so solve can read b's relation as the last.
+    dependent = [i for i in range(nrows)
+                 if len(f2.echelon(rows[:i + 1])) == len(f2.echelon(rows[:i]))]
+    assert [rel.bit_length() - 1 for rel in rels] == dependent
     assert list(f2.reduced_basis(rels)) == full_rref_relations(rows, width)
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, random.Random(0))
+@example(5, 0, random.Random(0))
+def test_top_echelon_has_the_rank_and_the_span_of_echelon(nrows, width, rng):
+    rows = rows_with_relations(nrows, width, rng)
+    top = f2.top_echelon(rows)
+    assert len(top) == len(f2.echelon(rows))
+    assert all(row.bit_length() == k for k, row in top.items())
+    assert f2.echelon(top.values()).keys() == f2.echelon(rows).keys()
+    assert list(f2.reduced_basis(top.values())) == list(f2.reduced_basis(rows))
 
 
 @given(st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))

@@ -727,7 +727,8 @@ def relations_read_resolution(m, max_s, max_t):
     rels = [{} for _ in stages]
     st0 = stages[0]
     for t in range(m.lo, max_t + 1):
-        piv, rels[0][t] = f2linalg.tagged_echelon(st0.extend(t), m.dim(t))
+        rows = st0.extend(t)
+        piv, rels[0][t] = f2linalg.echelon(rows), f2linalg.tagged_echelon(rows)[1]
         reds = {p: f2linalg.reduce(piv, 1 << p) for p in piv}
         for f in range(m.dim(t)):
             if f not in piv:
@@ -736,7 +737,8 @@ def relations_read_resolution(m, max_s, max_t):
     for s in range(1, max_s + 1):
         prev, cur = stages[s - 1], stages[s]
         for t in range(min((g.t for g in prev.gens), default=max_t + 1) + 1, max_t + 1):
-            piv, rels[s][t] = f2linalg.tagged_echelon(cur.extend(t), prev.dim(t))
+            rows = cur.extend(t)
+            piv, rels[s][t] = f2linalg.echelon(rows), f2linalg.tagged_echelon(rows)[1]
             ordinal = 0
             for kv in f2linalg.reduced_basis(rels[s - 1][t]):
                 red = f2linalg.reduce(piv, kv)
