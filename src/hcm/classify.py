@@ -42,13 +42,15 @@ class StemRecord(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def _check(self):
-        order = self.group.order
+        # im J is a finite cyclic subgroup, so its order divides the largest cyclic order.
+        largest = max(self.group.torsion, default=1)
         if self.k < 1:
             raise InputError("stem must be positive")
         if self.im_j_order < 1:
             raise InputError(f"im_j_order must be at least 1, got {self.im_j_order}")
-        if order is not None and order % self.im_j_order:
-            raise InputError(f"im_j_order {self.im_j_order} does not divide |pi_{self.k}|")
+        if largest % self.im_j_order:
+            raise InputError(f"im_j_order {self.im_j_order} does not divide |pi_{self.k}|'s "
+                             f"largest cyclic order {largest}: im J is cyclic")
 
 
 class ProductFact(NamedTuple):

@@ -4,15 +4,16 @@ Rows are stored as Python integers, one bit per entry (bit ``j`` of row
 ``i`` is the (i, j) entry), so XOR gives whole-row addition.  Values are
 immutable, and matrices compare by shape and entries.
 
-Two pivot conventions serve two kinds of answer.  A rank or a relation
-space does not depend on which bit a row pivots on, so ``top_echelon``
-and ``tagged_echelon``, which find them, pivot on a row's highest set
+There is one forward elimination per pivot convention.  A rank, a span
+or a relation space does not depend on which bit a row pivots on, so
+``top_echelon``, which finds them all, pivots on a row's highest set
 bit: ``x.bit_length()`` makes no new int, where the lowest bit costs
-two (``-x`` and ``x & -x``).  A named representative is pinned to the
-lowest bit: ``echelon``'s table, ``reduce``'s canonical coset
-representative, and the reduced echelon bases of ``reduced_basis`` and
-``rref``, which run the top-bit elimination on bit-reversed rows.  Every
-RREF, kernel and solution comes from these.
+two (``-x`` and ``x & -x``).  ``relations`` runs it on rows tagged with
+their index.  A named representative is pinned to the lowest bit:
+``echelon``'s table, ``reduce``'s canonical coset representative, and
+the reduced echelon bases of ``reduced_basis`` and ``rref``, which runs
+``top_echelon`` on bit-reversed rows.  Every RREF, kernel and solution
+comes from these.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def top_echelon(rows: Iterable[int]) -> dict[int, int]:
     Its length is the rows' rank and its values are a basis of their
     span.  A row is reduced only until its top bit is free, so the rows
     are not reduced against each other.  This is the elimination for a
-    rank or a span; where a representative is named, use ``echelon``.
+    rank, a span or ``relations``; where a representative is named, use
+    ``echelon``.
     """
     piv: dict[int, int] = {}
     for row in rows:
@@ -127,31 +129,19 @@ def reduce(piv: dict[int, int], v: int) -> int:
     return out
 
 
-def tagged_echelon(rows: Sequence[int]) -> tuple[dict[int, int], list[int]]:
-    """``top_echelon`` of rows, and a basis of the relations among them.
+def relations(rows: Sequence[int]) -> list[int]:
+    """A basis of the relations among rows, Bruner's ``[d | I]`` kernel, in row order.
 
-    With n rows, row i becomes ``row << n | 1 << i``: its tag sits below
-    the data and rides through the same XORs, which are decided by the
-    data's top bit alone.  A row whose data cancels stops at its tags, a
-    relation.  Rows before i carry tags below i only, so each relation's
-    top bit is its own row's, and there are as many as rows less the
-    rank: they are a basis of the relations.  The pivot table, the data
-    shifted back down, is ``top_echelon(rows)``.
+    With n rows, ``top_echelon`` runs over ``row << n | 1 << i``: the tag
+    rides through the XORs, and the row's key stays above n while its
+    data is nonzero.  Rows before i carry tags below i only, so once the
+    data cancels the top bit is the row's own tag, and it lands at key
+    i + 1, which no other row takes.  The keys up to n are the relations,
+    one for each row in the span of those before it.
     """
     n = len(rows)
-    piv: dict[int, int] = {}
-    rels: list[int] = []
-    for i, row in enumerate(rows):
-        row = row << n | 1 << i
-        while (k := row.bit_length()) > n:
-            other = piv.get(k)
-            if other is None:
-                piv[k] = row
-                break
-            row ^= other
-        else:
-            rels.append(row)
-    return {k - n: row >> n for k, row in piv.items()}, rels
+    piv = top_echelon(row << n | 1 << i for i, row in enumerate(rows))
+    return [rel for k, rel in piv.items() if k <= n]
 
 
 def reduced_basis(vectors: Iterable[int]) -> Iterator[int]:
@@ -231,24 +221,23 @@ def span(vectors: Iterable[int], ambient_dim: int) -> Subspace:
 
 
 def kernel(m: F2Matrix) -> Subspace:
-    """Null space {x : m x = 0}: the reduced echelon basis of the relations
-    among m's columns, which ``tagged_echelon`` finds (Bruner 1989).
+    """Null space {x : m x = 0}: the reduced echelon basis of the ``relations``
+    among m's columns.
     """
-    rels = tagged_echelon(m.transpose().data)[1]
-    return Subspace(tuple(reduced_basis(rels)), m.cols)
+    return Subspace(tuple(reduced_basis(relations(m.transpose().data))), m.cols)
 
 
 def solve(m: F2Matrix, b: int) -> Optional[int]:
     """Some x with m x = b, or None if b is outside the column space.
 
-    ``b`` is a bit-packed vector of length ``m.rows``.  ``tagged_echelon``
+    ``b`` is a bit-packed vector of length ``m.rows``.  ``relations``
     runs over m's columns with b last.  b is in the column space exactly
     when its row cancels; its relation is then the last, as each one's
     top bit is its own row's, and without b's own tag it is x.
     """
     if b < 0 or b >> m.rows:
         raise ContractViolationError("right-hand side longer than row count")
-    rels = tagged_echelon(m.transpose().data + (b,))[1]
+    rels = relations(m.transpose().data + (b,))
     if rels and rels[-1] >> m.cols:
         return rels[-1] ^ 1 << m.cols
     return None

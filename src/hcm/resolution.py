@@ -203,7 +203,7 @@ class _Stage:
         rows = self.rows[t]
         off = [i for i in range(len(rows)) if i not in piv]
         ys = [sum(1 << off[b] for b in _bits(rel))
-              for rel in f2linalg.tagged_echelon([rows[i] for i in off])[1]]
+              for rel in f2linalg.relations([rows[i] for i in off])]
         if len(piv) + len(ys) != (want := len(rows) - self.rank[t]):
             raise InternalError(f"resolution not exact at stage {self.s + 1}, degree {t}: image "
                                 f"rank {len(piv)} plus {len(ys)} relations off its pivots, "
@@ -536,7 +536,9 @@ def _h0_strings(chart: ExtChart) -> tuple[dict[int, tuple[list, list]], set[int]
     the boundary.  Each stem maps to (finite strings, boundary strings).
     A stem is tangled when its h_0 edges branch or merge: its strings
     need a basis change before they can be read as cyclic summands, so
-    none is listed and nothing may be read off them.
+    none is listed and nothing may be read off them.  A stem flagged
+    torsion-free-at-top is refused unless it is untangled and holds a
+    boundary string up to s = max_s, the tower the flag promises.
     """
     up, hit, tangled = {}, set(), set()
     for a, b in chart.products.get(0, ()):
@@ -557,6 +559,10 @@ def _h0_strings(chart: ExtChart) -> tuple[dict[int, tuple[list, list]], set[int]
             top_s, top_t, _ = run[-1]
             finite, boundary = strings.setdefault(t - s, ([], []))
             (finite if chart.inside(top_s + 1, top_t + 1) else boundary).append(run)
+    for stem in sorted(chart.torsion_free_top_stems):  # a tangled stem lists no string
+        if not any(run[-1][0] == chart.max_s for run in strings.get(stem, ((), ()))[1]):
+            raise RefusalError(f"stem {stem} is flagged torsion-free-at-top but holds no "
+                               f"untangled h0 tower up to s = {chart.max_s}")
     return strings, tangled
 
 

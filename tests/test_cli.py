@@ -114,13 +114,13 @@ def _repeat_a_relation(monkeypatch):
     # The basis of the kernel off the image's pivots gains a copy of one of
     # its vectors: the span, and so every generator drawn from it, is
     # unchanged, and only the check on the basis's size can see it.
-    real = f2linalg.tagged_echelon
+    real = f2linalg.relations
 
     def repeated(rows):
-        piv, rels = real(rows)
-        return piv, rels + rels[-1:]
+        rels = real(rows)
+        return rels + rels[-1:]
 
-    monkeypatch.setattr(f2linalg, "tagged_echelon", repeated)
+    monkeypatch.setattr(f2linalg, "relations", repeated)
 
 
 def _zero_an_augmentation(monkeypatch):
@@ -554,6 +554,12 @@ def test_stems_relation_sum_by_label_or_alias_loads(tmp_path, capsys):
 @pytest.mark.parametrize("field, message", [
     ({"cyclic_orders": [3]}, "torsion orders must be powers of 2"),
     ({"k": 0}, "stem must be positive"),
+    # im J is cyclic: these orders divide the group's order, not its largest cyclic order.
+    ({"k": 9, "cyclic_orders": [2, 2, 2], "im_j_order": 4,
+      "generators": [{"label": "nu^3"}, {"label": "mu9"}, {"label": "eta*epsilon"}]},
+     "im_j_order 4 does not divide |pi_9|'s largest cyclic order 2: im J is cyclic"),
+    ({"cyclic_orders": [4, 2], "generators": [{"label": "nu"}, {"label": "x"}]},
+     "im_j_order 8 does not divide |pi_3|'s largest cyclic order 4: im J is cyclic"),
 ])
 def test_stems_record_check_fails_with_its_place(tmp_path, capsys, field, message):
     # A record's own checks read as every other fault of the file, naming the record.

@@ -135,6 +135,26 @@ def test_splitting_summand_contents():
         assert want in labels
 
 
+def _shape(m, shift):
+    """A module's dimensions and nonzero action tables, its degrees moved down by shift."""
+    return (m.lo - shift, m.hi - shift, m.unstable, m.truncated,
+            tuple(m.dim(d) for d in range(m.lo, m.hi + 1)),
+            {(a, d - shift): rows for (a, d), rows in m.action.items() if any(rows)})
+
+
+def test_bar_page_modules_repeat_with_period_8():
+    # n enters these modules only through degree shifts, o_diagram's residue
+    # mod 8 and binomial coefficients mod 2, so module(n + 8) is module(n)
+    # shifted up by 16.
+    shapes = {n: (_shape(ep.d2_splitting_summands(n)[1], 2 * n),
+                  _shape(ep.tensor_square(n), 2 * n))
+              for n in range(16, 513) if n % 8 in (0, 1, 4)}
+    checked = [n for n in shapes if n + 8 in shapes]
+    assert len(checked) == 184
+    for n in checked:
+        assert shapes[n] == shapes[n + 8], n
+
+
 def test_residue_guard():
     with pytest.raises(UnsupportedError):
         ep.d2_splitting_summands(14)  # 6 mod 8

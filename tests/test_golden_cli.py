@@ -35,7 +35,8 @@ CACHE = "cache"
 _ETA = {"k": 1, "cyclic_orders": [2], "im_j_order": 2, "generators": [{"label": "eta"}]}
 
 # The module file of README's "File formats" section, one with a misspelt key,
-# and stems files with an im J order of 0, a name given twice and an unknown result.
+# and stems files with an im J order of 0, a name given twice, an unknown result
+# and an im J order that is no cyclic order of its stem, (Z/2)^3.
 FILES = {
     "mymodule.json": {"window": [0, 3],
                       "cells": [{"label": "a", "degree": 0}, {"label": "b", "degree": 1}],
@@ -49,6 +50,9 @@ FILES = {
                              "products": [{"a": "nu", "b": "nu", "result": "0"}]},
     "unknown-result-stems.json": {"stems": [_ETA],
                                   "products": [{"a": "eta", "b": "eta", "result": "nonsense"}]},
+    "cyclic-im-j-stems.json": {"stems": [{"k": 9, "cyclic_orders": [2, 2, 2], "im_j_order": 4,
+                                          "generators": [{"label": "nu^3"}, {"label": "mu9"},
+                                                         {"label": "eta*epsilon"}]}]},
 }
 
 _README = [
@@ -109,6 +113,7 @@ _EXIT_2 = [
     "stems query --stems zero-order-stems.json --stem 1",
     "stems query --stems colliding-stems.json --product eta eta",
     "stems query --stems unknown-result-stems.json --product eta eta",
+    "stems query --stems cyclic-im-j-stems.json --stem 9",
 ]
 
 _EXIT_3 = [

@@ -547,6 +547,30 @@ def test_h0_string_refusals():
         rs.homotopy_from_chart(branched, 3)
 
 
+def test_a_flag_without_a_tower_is_refused():
+    # Stem 10 of the sphere is Z/2, and unflagged it is refused at this
+    # range; flagged, it would read 0 unless the flag's tower is checked.
+    ch = rs.ext_chart(rs.minimal_resolution(sm.sphere_module(14), 10, 14),
+                      torsion_free_top_stems=(10,))
+    with pytest.raises(RefusalError, match="stem 10 is flagged torsion-free-at-top") as err:
+        rs.homotopy_from_chart(ch, 10)
+    assert err.value.exit_code == 4
+    with pytest.raises(RefusalError, match="stem 10 is flagged torsion-free-at-top"):
+        rs.check_no_differentials(ch, (3, 4))
+    # A string to the top row in a tangled stem is no tower either.
+    up = {0: (((1, 4, 0), (2, 5, 0)), ((1, 4, 1), (2, 5, 0)), ((2, 5, 0), (3, 6, 0)))}
+    tangled = rs.ExtChart(3, 10, {(1, 4): ("x", "y"), (2, 5): ("h0·x",), (3, 6): ("h0^2·x",)},
+                          up, cell_degrees=(0,), torsion_free_top_stems=frozenset({3}))
+    with pytest.raises(RefusalError, match="stem 3 is flagged torsion-free-at-top"):
+        rs.homotopy_from_chart(tangled, 3)
+    # A string that stops below the top row only because t runs out.
+    short = rs.ExtChart(3, 5, {(1, 4): ("x",), (2, 5): ("h0·x",)},
+                        {0: (((1, 4, 0), (2, 5, 0)),)}, cell_degrees=(0,),
+                        torsion_free_top_stems=frozenset({3}))
+    with pytest.raises(RefusalError, match="stem 3 is flagged torsion-free-at-top"):
+        rs.homotopy_from_chart(short, 3)
+
+
 def test_tower_exemption_reads_every_h0_edge():
     # x at (1, 5) has h0 edges to a and b at (2, 6); a's string reaches the
     # top row at (3, 7).  h0·x has a summand on that string, so x's string
@@ -562,6 +586,21 @@ def test_tower_exemption_reads_every_h0_edge():
         assert [(a["r"], a["source"], a["target"]) for a in arrows] == [(2, (1, 5), (3, 6))]
         with pytest.raises(RefusalError, match="possible Adams differentials touch stem 3"):
             rs.homotopy_from_chart(ch, 3)
+
+
+@pytest.mark.parametrize("n", [0, 3, 9, 16])
+def test_z_chart_is_the_h0_tower_by_change_of_rings(n):
+    # H*HZ = A//A(0), so Ext_A(H*HZ) = Ext_A(0)(F2) = F2[h0]: in the stems
+    # the window trusts, the chart is the h0 tower on the bottom cell,
+    # one class at (s, n + s) for each s, and nothing else.
+    m = sm.builtin("Z", n)
+    ch = rs.ext_chart(rs.minimal_resolution(m, 12, m.hi + 12))
+    trusted = lambda spot: spot[1] - spot[0] <= ch.trusted_stem_max
+    assert {spot: d for spot, d in ch.dims.items() if trusted(spot)} == {
+        (s, n + s): 1 for s in range(13)}
+    edges = {(k, a, b) for k, pairs in ch.products.items() for a, b in pairs
+             if trusted(a) or trusted(b)}
+    assert edges == {(0, (s, n + s, 0), (s + 1, n + s + 1, 0)) for s in range(12)}
 
 
 def test_uncertified_column_refused():
@@ -714,9 +753,10 @@ def test_relations_outside_the_kernel_are_caught(monkeypatch, exactness, message
 
 
 def relations_read_resolution(m, max_s, max_t):
-    """The resolver reading every relation: a full ``tagged_echelon`` per
-    bidegree keeps all of them, and new generators are drawn greedily from
-    the reduced echelon basis of the relations, reduced against the image.
+    """The resolver reading every relation: ``relations`` over all of a
+    bidegree's rows keeps all of them, and new generators are drawn
+    greedily from the reduced echelon basis of the relations, reduced
+    against the image.
 
     It lays stages out through ``_Stage`` and labels them by ``_label_for``,
     as the engine does, but reads no ranks and no image complement.
@@ -728,7 +768,7 @@ def relations_read_resolution(m, max_s, max_t):
     st0 = stages[0]
     for t in range(m.lo, max_t + 1):
         rows = st0.extend(t)
-        piv, rels[0][t] = f2linalg.echelon(rows), f2linalg.tagged_echelon(rows)[1]
+        piv, rels[0][t] = f2linalg.echelon(rows), f2linalg.relations(rows)
         reds = {p: f2linalg.reduce(piv, 1 << p) for p in piv}
         for f in range(m.dim(t)):
             if f not in piv:
@@ -738,7 +778,7 @@ def relations_read_resolution(m, max_s, max_t):
         prev, cur = stages[s - 1], stages[s]
         for t in range(min((g.t for g in prev.gens), default=max_t + 1) + 1, max_t + 1):
             rows = cur.extend(t)
-            piv, rels[s][t] = f2linalg.echelon(rows), f2linalg.tagged_echelon(rows)[1]
+            piv, rels[s][t] = f2linalg.echelon(rows), f2linalg.relations(rows)
             ordinal = 0
             for kv in f2linalg.reduced_basis(rels[s - 1][t]):
                 red = f2linalg.reduce(piv, kv)
